@@ -33,15 +33,7 @@ from .euler import (
     spectrum_report,
 )
 from .evans import EvansRootSet, RootSearchConfig, count_roots, derivative_checks, evans, find_roots
-from .hill import (
-    DiscriminantConfig,
-    HillMatrix,
-    discriminant,
-    discriminant_slope_at_zero,
-    fredholm_derivative_check,
-    hill_determinant,
-    hill_matrix,
-)
+from .hill import DiscriminantConfig, discriminant, discriminant_slope_at_zero, hill_determinant
 from .jacobi import JacobiTruncation, cross_validate, jacobi_matrix, jacobi_spectrum
 from .lattice import (
     ROOT_COUNT_BY_REGION,
@@ -75,7 +67,6 @@ __all__ = [
     "EigenError",
     "EulerHillError",
     "EvansRootSet",
-    "HillMatrix",
     "JacobiTruncation",
     "MonodromyResult",
     "OracleMismatchError",
@@ -105,10 +96,8 @@ __all__ = [
     "evans",
     "find_roots",
     "fourier_coeff",
-    "fredholm_derivative_check",
     "full_evans",
     "hill_determinant",
-    "hill_matrix",
     "integrate_monodromy",
     "jacobi_matrix",
     "jacobi_spectrum",

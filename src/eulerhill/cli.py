@@ -38,7 +38,6 @@ DEFAULTS_ENV = "EULERHILL_DEFAULTS"
 @dataclass
 class RunConfig:
     half_width: int = 16
-    tail_cutoff: int | None = None
     integrator_tol: float = 1e-9
     root_tol: float = 1e-10
     c_max: float = 2.0
@@ -48,7 +47,7 @@ class RunConfig:
     fmt: str = "csv"
 
     def disc(self) -> DiscriminantConfig:
-        return DiscriminantConfig(half_width=self.half_width, tail_cutoff=self.tail_cutoff)
+        return DiscriminantConfig(half_width=self.half_width)
 
     def search(self) -> RootSearchConfig:
         return RootSearchConfig(
@@ -346,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--half-width", type=int, default=None,
                         help="determinant truncation half-width (default 16)")
-    parser.add_argument("--tail-cutoff", type=int, default=None)
     parser.add_argument("--integrator-tol", type=float, default=None)
     parser.add_argument("--root-tol", type=float, default=None)
     parser.add_argument("--c-max", type=float, default=None)
@@ -412,7 +410,7 @@ def main(argv=None) -> int:
     for key, value in _load_defaults().items():
         if hasattr(cfg, key):
             setattr(cfg, key, value)
-    for key in ("half_width", "tail_cutoff", "integrator_tol", "root_tol",
+    for key in ("half_width", "integrator_tol", "root_tol",
                 "c_max", "eps_cut", "out", "fmt"):
         val = getattr(args, key, None)
         if val is not None:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     OracleMismatchError,
 )
 from .hill import DiscriminantConfig, discriminant
-from .lattice import ROOT_COUNT_BY_REGION, RegionTag
+from .lattice import ROOT_COUNT_BY_REGION, RegionTag, classify_rational
 
 __all__ = [
     "RootSearchConfig",
@@ -309,15 +310,6 @@ def _subdivide(f, rect, w, cfg, cache, budget, rng, out, depth=0):
     raise ContourThroughRootError(f"could not split cell {rect}")
 
 
-def _float_region(theta: float, d: float) -> RegionTag:
-    """Open-region classification in floating point (no boundary detection)."""
-    th = theta - math.floor(theta)
-    if th > 0.5:
-        th -= 1.0
-    n_in = sum(1 for l in (-1, 0, 1) if (th + l) ** 2 + d * d < 1.0)
-    return (RegionTag.REGION_0, RegionTag.REGION_I, RegionTag.REGION_II)[n_in]
-
-
 def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> EvansRootSet:
     """All roots of E in the closed first quadrant, with symmetry closure.
 
@@ -384,7 +376,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
         theta=theta,
         d=d,
         roots=roots,
-        region_predicted=_float_region(theta, d),
+        region_predicted=classify_rational(Fraction(theta), Fraction(d)),
         box=box_a,
         winding_total=total,
     )
@@ -409,20 +401,10 @@ def count_roots(
     attempts = [cfg]
     if expected_region is not None:
         # retry lower (floored away from the degraded endpoint zone), then wider
-        attempts.append(
-            RootSearchConfig(
-                c_max=cfg.c_max, eps_cut=max(cfg.eps_cut / 2.0, 5e-4),
-                axis_pad=cfg.axis_pad, guard=cfg.guard, disc=disc_cfg,
-                seed=cfg.seed + 1, max_evals=2 * cfg.max_evals,
-            )
-        )
-        attempts.append(
-            RootSearchConfig(
-                c_max=2.0 * cfg.c_max, eps_cut=cfg.eps_cut, axis_pad=cfg.axis_pad,
-                guard=cfg.guard, disc=disc_cfg, seed=cfg.seed + 2,
-                max_evals=4 * cfg.max_evals,
-            )
-        )
+        attempts.append(replace(cfg, eps_cut=max(cfg.eps_cut / 2.0, 5e-4),
+                                seed=cfg.seed + 1, max_evals=2 * cfg.max_evals))
+        attempts.append(replace(cfg, c_max=2.0 * cfg.c_max,
+                                seed=cfg.seed + 2, max_evals=4 * cfg.max_evals))
     count = None
     for trial in attempts:
         cache: dict = {}

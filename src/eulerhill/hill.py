@@ -12,13 +12,18 @@ evaluation eliminates the discarded modes to second order:
 
 * a rank-2 update of the retained block (Schur complement of the
   discarded modes through one and two off-diagonal hops), and
-* a scalar factor exp(-tr2/2 + tr3/3) for the determinant of the
-  discarded block itself, with the lag sums done by FFT autocorrelation
-  plus analytic integral remainders.
+* a scalar factor exp(-T2/2 + T3/3) for the determinant of the
+  discarded block itself.  With r = s^2 and f_n = 1/(Lambda - n^2) for
+  the modes n = N+1..M, the lag sums are one pair of geometric scans,
+  pre_m = sum_{a<m} r^(m-a) f_a and suf_m = sum_{b>m} r^(b-m) f_b:
+
+      T2 = 4 kappa^2 (sum f suf + integral remainder beyond M),
+      T3 = 12 kappa^3 sum f pre suf   (all a < m < b).
 
 With the default half-width 16 this agrees with direct monodromy
-integration to ~1e-8 on the standard parameter grid and stays accurate
-arbitrarily close to the cut, where |s| -> 1.
+integration to 1.2e-8 on the standard parameter grid.  Close to the
+cut, where |s| -> 1, the error grows: relative 1.2e-4 at
+c = 0.95+0.005j, and several percent within 0.003 of c = +-1.
 """
 
 from __future__ import annotations
@@ -32,16 +37,13 @@ import numpy as np
 from scipy.special import zeta
 
 from .conformal import I_POW, SpectralParam, s_of_c
-from .errors import BranchCutError, PoleProximityError, SingularMatrixError
+from .errors import PoleProximityError
 
 __all__ = [
     "DiscriminantConfig",
-    "HillMatrix",
-    "hill_matrix",
     "hill_determinant",
     "discriminant",
     "discriminant_slope_at_zero",
-    "fredholm_derivative_check",
 ]
 
 
@@ -50,30 +52,14 @@ class DiscriminantConfig:
     """Truncation parameters for determinant-based evaluations."""
 
     half_width: int = 16
-    tail_cutoff: int | None = None  # defaults to max(50, 10*half_width)
     pole_guard: float = 1e-8
 
     def __post_init__(self):
         if self.half_width < 1:
             raise ValueError("half_width must be >= 1")
-        if self.tail_cutoff is not None and self.tail_cutoff <= self.half_width:
-            raise ValueError("tail_cutoff must exceed half_width")
-
-    @property
-    def tail(self) -> int:
-        return self.tail_cutoff or max(50, 10 * self.half_width)
 
 
 DEFAULT_CONFIG = DiscriminantConfig()
-
-
-@dataclass(frozen=True)
-class HillMatrix:
-    """Cleared-denominator truncation entry(n,m) = (Lam - n^2) d_nm + g~_{n-m}."""
-
-    array: np.ndarray
-    lam: complex
-    half_width: int
 
 
 @lru_cache(maxsize=32)
@@ -97,17 +83,12 @@ def _gtilde(sp: SpectralParam, N: int) -> np.ndarray:
 
 
 def _cleared_array(sp: SpectralParam, lam: complex, N: int) -> np.ndarray:
+    """Cleared-denominator truncation B_nm = (Lambda - n^2) d_nm + g~_{n-m}."""
     nn, _, _, idx, _, _, _ = _mode_data(N)
     B = _gtilde(sp, N)[idx].astype(complex)
     dd = np.arange(2 * N + 1)
     B[dd, dd] += lam - nn.astype(float) ** 2
     return B
-
-
-def hill_matrix(sp: SpectralParam, lam: complex, cfg: DiscriminantConfig | None = None) -> HillMatrix:
-    cfg = cfg or DEFAULT_CONFIG
-    N = cfg.half_width
-    return HillMatrix(array=_cleared_array(sp, complex(lam), N), lam=complex(lam), half_width=N)
 
 
 def hill_determinant(sp: SpectralParam, lam: complex, cfg: DiscriminantConfig | None = None) -> complex:
@@ -160,20 +141,43 @@ def _geom_tail(w: complex, g0: complex, g1: complex, g2: complex, g3: complex) -
     return (g0 + r * d1 + r * r * d2 + r**3 * d3) / (1.0 - w)
 
 
+def _geom_scan(x: np.ndarray, r: complex) -> np.ndarray:
+    """y_i = sum_{j<=i} r^(i-j) x_j in ceil(log2 len(x)) doubling steps."""
+    y = x.astype(complex)
+    d = 1
+    while d < len(y):
+        y[d:] += r**d * y[:-d]
+        d *= 2
+    return y
+
+
+def _geom_lag_sums(f: np.ndarray, r: complex) -> tuple[complex, complex]:
+    """(sum_{a<b} r^(b-a) f_a f_b, sum_{a<m<b} r^(b-a) f_a f_m f_b).
+
+    These are sum f suf and sum f pre suf.  pre and suf are taken as the
+    shifted scans r fwd_{m-1} and r bwd_{m+1}, not as scan - f, which
+    would lose all relative accuracy to cancellation when |r| is tiny.
+    """
+    fwd = _geom_scan(f, r)
+    bwd = _geom_scan(f[::-1], r)[::-1]
+    pair = r * np.dot(f[:-1], bwd[1:])
+    triple = r * r * np.sum(fwd[:-2] * f[1:-1] * bwd[2:])
+    return complex(pair), complex(triple)
+
+
 def _corrected_scaled_det(sp: SpectralParam, lam: complex, N: int) -> complex:
     """K(Lambda) * prod n^-4 with the discarded modes eliminated to 2nd order.
 
-    Returns det(rowscaled(B_eff)) * exp(-tr2/2 + tr3/3); see module docstring.
+    Returns det(rowscaled(B_eff)) * exp(-T2/2 + T3/3); see module docstring.
     """
     nn, _, _, _, ipn, ipm, rs = _mode_data(N)
     B = _cleared_array(sp, lam, N)
     s, kappa = sp.s, sp.kappa
     s2 = s * s
-    a2 = abs(s2)
     corr = 1.0 + 0.0j
     if (
         kappa != 0
-        and abs(kappa) * a2 > 1e-18
+        and abs(kappa) * abs(s2) > 1e-18
         and abs(lam) < 0.5 * (N + 1) ** 2
         and abs(1.0 - s2) > 1e-3
     ):
@@ -192,33 +196,16 @@ def _corrected_scaled_det(sp: SpectralParam, lam: complex, N: int) -> complex:
         sb = s ** (N + nn).astype(float)
         B -= wtot * (np.outer(ipn * sa, ipm * sa) + np.outer(ipn * sb, ipm * sb))
 
-        # determinant of the discarded block: log = -tr2/2 + tr3/3
+        # determinant of the discarded block: log = -T2/2 + T3/3
         M = max(240, 5 * N)
-        L = M - N
         narr = np.arange(N + 1, M + 1)
         fn = 1.0 / (lam - narr.astype(float) ** 2)
-        F = np.fft.fft(fn, 2 * L)
-        Fr = np.fft.fft(fn[::-1], 2 * L)
-        xc = np.fft.ifft(F * Fr)
-        ks = np.arange(1, L)
-        Vk = xc[L - 1 + ks]
+        pair, triple = _geom_lag_sums(fn, s2)
+        ks = np.arange(1, M - N)
         Y = M + 0.5 - 0.5 * ks
         rem = 1.0 / (3.0 * Y**3) + (0.5 * ks * ks + 2.0 * lam) / (5.0 * Y**5)
-        T2 = 4.0 * kappa**2 * np.sum((s2**ks) * (Vk + rem))
-
-        T3 = 0.0 + 0.0j
-        if abs(kappa) ** 3 * min(1.0, a2 * a2) > 1e-13:
-            P = np.concatenate(([0.0 + 0.0j], np.cumsum(fn)))
-            s2t = s2
-            for t in range(2, min(80, L - 1) + 1):
-                s2t *= s2
-                iidx = np.arange(1, L - t + 1)
-                inner = P[t - 1 + iidx] - P[iidx]
-                term = s2t * np.dot(fn[: L - t] * fn[t:], inner)
-                T3 += term
-                if abs(term) < 1e-16 * max(1e-13, abs(T3)):
-                    break
-            T3 *= 12.0 * kappa**3
+        T2 = 4.0 * kappa**2 * (pair + np.sum((s2**ks) * rem))
+        T3 = 12.0 * kappa**3 * triple
         corr = cmath.exp(-0.5 * T2 + T3 / 3.0)
 
     K4 = np.linalg.det(B / rs[:, None])
@@ -241,7 +228,7 @@ def discriminant(sp: SpectralParam, mu: complex, cfg: DiscriminantConfig | None 
     if bump > N:
         N = bump
     K4c = _corrected_scaled_det(sp, lam, N)
-    return 2.0 - 4.0 * math.pi**2 * K4c * _tail_product_sq(lam, N, max(cfg.tail, 10 * N))
+    return 2.0 - 4.0 * math.pi**2 * K4c * _tail_product_sq(lam, N, 10 * N)
 
 
 def discriminant_slope_at_zero(c: complex) -> complex:
@@ -255,67 +242,3 @@ def discriminant_slope_at_zero(c: complex) -> complex:
     root = (1.0 / sp.s - sp.s) / 2.0
     return 2.0 * math.pi**2 * c * (1.0 + 2.0 * c * c) / root**3
 
-
-def _normalized_array(sp: SpectralParam, lam: complex, N: int) -> np.ndarray:
-    """D-form matrix delta_nm + g~_{n-m} / (Lambda - n^2)."""
-    nn, _, _, _, _, _, _ = _mode_data(N)
-    den = lam - nn.astype(float) ** 2
-    if np.min(np.abs(den)) < 1e-12:
-        raise PoleProximityError(f"Lambda = {lam} too close to a pole for the D-form")
-    B = _cleared_array(sp, lam, N)
-    return B / den[:, None]
-
-
-def fredholm_derivative_check(
-    sp: SpectralParam,
-    lam: complex,
-    cfg: DiscriminantConfig | None = None,
-    direction: str = "mu",
-    step: float = 1e-5,
-):
-    """Compare d(det F) with det(F) tr(F^-1 dF) for the D-form matrix F.
-
-    direction "mu" perturbs Lambda = g0 - mu; direction "c" perturbs c at
-    fixed mu (one-sided along the imaginary axis when sp sits at the
-    origin limit).  Returns (finite-difference derivative, trace formula).
-    Test utility only.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    N = cfg.half_width
-    lam = complex(lam)
-
-    F0 = _normalized_array(sp, lam, N)
-    det0 = complex(np.linalg.det(F0))
-    if abs(det0) < 1e-300 or not np.isfinite(det0):
-        raise SingularMatrixError("D-form matrix is singular at the base point")
-    try:
-        F0_inv = np.linalg.inv(F0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("D-form matrix is singular at the base point") from exc
-
-    if direction == "mu":
-        Fp = _normalized_array(sp, lam - step, N)  # mu + step
-        Fm = _normalized_array(sp, lam + step, N)
-        dF = (Fp - Fm) / (2.0 * step)
-        lhs = (complex(np.linalg.det(Fp)) - complex(np.linalg.det(Fm))) / (2.0 * step)
-    elif direction == "c":
-        mu = sp.g0 - lam
-        if sp.c == 0:
-            # one-sided step off the cut along the allowed imaginary direction
-            h = 1j * step if sp.s == -1j else -1j * step
-            spp = s_of_c(sp.c + h)
-            Fp = _normalized_array(spp, spp.g0 - mu, N)
-            dF = (Fp - F0) / h
-            lhs = (complex(np.linalg.det(Fp)) - det0) / h
-        else:
-            spp = s_of_c(sp.c + step)
-            spm = s_of_c(sp.c - step)
-            Fp = _normalized_array(spp, spp.g0 - mu, N)
-            Fm = _normalized_array(spm, spm.g0 - mu, N)
-            dF = (Fp - Fm) / (2.0 * step)
-            lhs = (complex(np.linalg.det(Fp)) - complex(np.linalg.det(Fm))) / (2.0 * step)
-    else:
-        raise ValueError("direction must be 'mu' or 'c'")
-
-    rhs = det0 * complex(np.trace(F0_inv @ dF))
-    return lhs, rhs

@@ -44,7 +44,7 @@ class MonodromyResult:
 
 
 def _integrate(c: complex, mu: complex, n: int):
-    """RK4 с n steps over [tau, tau + 2 pi]; returns the 2x2 monodromy."""
+    """RK4 with n steps over [tau, tau + 2 pi]; returns the 2x2 monodromy."""
     h = TWO_PI / n
     eta = _TAU + 0.5 * h * np.arange(2 * n + 1)
     sn = np.sin(eta)

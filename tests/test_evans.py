@@ -1,6 +1,7 @@
 """Evans function values, analytic properties, and root machinery."""
 
 import cmath
+import importlib
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from eulerhill import (
     BranchCutError,
     DegenerateParameterError,
     DiscriminantConfig,
+    OracleMismatchError,
     RegionTag,
     RootSearchConfig,
     Side,
@@ -180,8 +182,26 @@ def test_guard_pass_annulus_is_quiet():
 
 
 def test_count_mismatch_raises_oracle_error():
-    from eulerhill import OracleMismatchError
-
     with pytest.raises(OracleMismatchError):
         # (0.1, 0.6) is region I (2 roots); claiming region II must fail
         count_roots(0.1, 0.6, expected_region=RegionTag.REGION_II)
+
+
+def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
+    evans_mod = importlib.import_module("eulerhill.evans")
+    seen = []
+
+    def fake_count_windings(f, trial, cache, budget, rng):
+        seen.append(trial.retries)
+        return 0, 0, None, None  # misses region I on every rung
+
+    monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
+    with pytest.raises(OracleMismatchError):
+        count_roots(0.1, 0.6, RootSearchConfig(retries=1), expected_region=RegionTag.REGION_I)
+    assert seen == [1, 1, 1]
+
+
+def test_find_roots_region_is_exact_at_d_zero():
+    rs = find_roots(0.3, 0.0)
+    assert rs.count == 0
+    assert rs.region_predicted == RegionTag.CORNER
