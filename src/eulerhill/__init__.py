@@ -33,7 +33,13 @@ from .euler import (
     spectrum_report,
 )
 from .evans import EvansRootSet, RootSearchConfig, count_roots, derivative_checks, evans, find_roots
-from .hill import DiscriminantConfig, discriminant, discriminant_slope_at_zero, hill_determinant
+from .hill import (
+    DiscriminantConfig,
+    discriminant,
+    discriminant_batch,
+    discriminant_slope_at_zero,
+    hill_determinant,
+)
 from .jacobi import JacobiTruncation, cross_validate, jacobi_matrix, jacobi_spectrum
 from .lattice import (
     ROOT_COUNT_BY_REGION,
@@ -92,6 +98,7 @@ __all__ = [
     "cut_distance",
     "derivative_checks",
     "discriminant",
+    "discriminant_batch",
     "discriminant_slope_at_zero",
     "evans",
     "find_roots",

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -407,9 +407,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg = RunConfig()
-    for key, value in _load_defaults().items():
-        if hasattr(cfg, key):
-            setattr(cfg, key, value)
+    defaults = _load_defaults()
+    valid = [f.name for f in fields(RunConfig)]
+    unknown = sorted(set(defaults) - set(valid))
+    if unknown:
+        print(f"error: unknown keys {', '.join(unknown)} in {DEFAULTS_ENV} file "
+              f"{os.environ[DEFAULTS_ENV]}; valid keys are {', '.join(valid)}",
+              file=sys.stderr)
+        return 2
+    for key, value in defaults.items():
+        setattr(cfg, key, value)
     for key in ("half_width", "integrator_tol", "root_tol",
                 "c_max", "eps_cut", "out", "fmt"):
         val = getattr(args, key, None)

@@ -29,7 +29,7 @@ from .errors import (
     DegenerateParameterError,
     OracleMismatchError,
 )
-from .hill import DiscriminantConfig, discriminant
+from .hill import DiscriminantConfig, discriminant, discriminant_batch
 from .lattice import ROOT_COUNT_BY_REGION, RegionTag, classify_rational
 
 __all__ = [
@@ -84,6 +84,12 @@ def evans(c, theta: float, d: float, cfg: DiscriminantConfig | None = None,
     else:
         sp = s_of_c(c)
     return 2.0 * math.cos(TWO_PI * theta) - discriminant(sp, d * d, cfg)
+
+
+def _evans_batch(cs, theta: float, d: float, cfg: DiscriminantConfig | None = None) -> np.ndarray:
+    """evans() at many points off the cut, through one discriminant_batch call."""
+    sps = [s_of_c(c) for c in cs]
+    return 2.0 * math.cos(TWO_PI * theta) - discriminant_batch(sps, d * d, cfg)
 
 
 class _Budget:
@@ -143,42 +149,41 @@ def _edge_points(a: complex, b: complex):
 def _winding(f, rect, cache, budget, max_pts=20000):
     """Winding number of f over the rectangle boundary, counterclockwise.
 
-    Argument increments are refined until each is below pi/2; a sample
-    falling on a zero (or a non-integer total) raises _ContourHit so the
-    caller can jitter the rectangle.
+    f maps a list of points to an array of values.  The uncached boundary
+    samples are evaluated in one call, then each refinement pass's
+    midpoints in one more.  Argument increments are refined until each is
+    below pi/2; a sample falling on a zero (or a non-integer total)
+    raises _ContourHit so the caller can jitter the rectangle.
     """
     x0, x1, y0, y1 = rect
 
-    def F(z):
-        v = cache.get(z)
-        if v is None:
-            budget.spend()
-            v = f(z)
-            cache[z] = v
-        if v == 0 or abs(v) < 1e-13:
-            raise _ContourHit(z)
-        return v
+    def F(zs):
+        new = [z for z in dict.fromkeys(zs) if z not in cache]
+        if new:
+            budget.spend(len(new))
+            cache.update(zip(new, f(new)))
+        vals = [cache[z] for z in zs]
+        for z, v in zip(zs, vals):
+            if abs(v) < 1e-13:
+                raise _ContourHit(z)
+        return vals
 
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     pts = []
     for i in range(4):
         pts.extend(_edge_points(corners[i], corners[(i + 1) % 4]))
     pts.append(pts[0])
-    vals = [F(p) for p in pts]
+    vals = F(pts)
 
-    changed = True
-    while changed and len(pts) < max_pts:
-        changed = False
-        new_pts, new_vals = [pts[0]], [vals[0]]
-        for i in range(1, len(pts)):
-            if abs(cmath.phase(vals[i] / vals[i - 1])) >= math.pi / 2:
-                mid = 0.5 * (pts[i - 1] + pts[i])
-                new_pts.append(mid)
-                new_vals.append(F(mid))
-                changed = True
-            new_pts.append(pts[i])
-            new_vals.append(vals[i])
-        pts, vals = new_pts, new_vals
+    while len(pts) < max_pts:
+        split = [i for i in range(1, len(pts))
+                 if abs(cmath.phase(vals[i] / vals[i - 1])) >= math.pi / 2]
+        if not split:
+            break
+        mids = [0.5 * (pts[i - 1] + pts[i]) for i in split]
+        for i, z, v in reversed(list(zip(split, mids, F(mids)))):
+            pts.insert(i, z)
+            vals.insert(i, v)
 
     total = 0.0
     for i in range(1, len(vals)):
@@ -322,15 +327,16 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
         raise ValueError("d must be nonnegative")
     disc_cfg = cfg.disc
     f = lambda c: evans(c, theta, d, disc_cfg)
+    fs = lambda cs: _evans_batch(cs, theta, d, disc_cfg)
     cache: dict = {}
     budget = _Budget(cfg.max_evals)
     rng = np.random.default_rng(cfg.seed)
 
-    wa, wb, box_a, box_b = _count_windings(f, cfg, cache, budget, rng)
+    wa, wb, box_a, box_b = _count_windings(fs, cfg, cache, budget, rng)
     total = 2 * (wa + wb)
 
     cells: list = []
-    _subdivide(f, box_a, wa, cfg, cache, budget, rng, cells)
+    _subdivide(fs, box_a, wa, cfg, cache, budget, rng, cells)
 
     snap = cfg.snap
     q1: list = []
@@ -396,7 +402,7 @@ def count_roots(
     """
     cfg = cfg or DEFAULT_SEARCH
     disc_cfg = cfg.disc
-    f = lambda c: evans(c, theta, d, disc_cfg)
+    fs = lambda cs: _evans_batch(cs, theta, d, disc_cfg)
 
     attempts = [cfg]
     if expected_region is not None:
@@ -410,7 +416,7 @@ def count_roots(
         cache: dict = {}
         budget = _Budget(trial.max_evals)
         rng = np.random.default_rng(trial.seed)
-        wa, wb, _, _ = _count_windings(f, trial, cache, budget, rng)
+        wa, wb, _, _ = _count_windings(fs, trial, cache, budget, rng)
         count = 2 * (wa + wb)
         if expected_region is None:
             return count

@@ -175,3 +175,15 @@ def test_defaults_file_via_env(tmp_path, capsys, monkeypatch):
     code, out = run_cli(["evans-roots", "--theta", "0.1", "--d", "0.6"], capsys)
     assert code == 0
     assert json.loads(out)["count"] == 2  # json because the defaults file said so
+
+
+def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
+    defaults = tmp_path / "defaults.json"
+    defaults.write_text(json.dumps({"half_widht": 4, "tail_cutoff": 100}))
+    monkeypatch.setenv("EULERHILL_DEFAULTS", str(defaults))
+    code = main(["evans-roots", "--theta", "0.1", "--d", "0.6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "half_widht" in captured.err and "tail_cutoff" in captured.err
+    assert "half_width" in captured.err  # the valid keys are listed

@@ -10,6 +10,7 @@ import pytest
 
 from eulerhill import (
     BranchCutError,
+    ConvergenceError,
     DegenerateParameterError,
     DiscriminantConfig,
     OracleMismatchError,
@@ -205,3 +206,45 @@ def test_find_roots_region_is_exact_at_d_zero():
     rs = find_roots(0.3, 0.0)
     assert rs.count == 0
     assert rs.region_predicted == RegionTag.CORNER
+
+
+def test_count_roots_budget_is_charged_per_distinct_point():
+    # count_roots(0.2, 0.6) evaluates 705 distinct contour points
+    with pytest.raises(ConvergenceError):
+        count_roots(0.2, 0.6, RootSearchConfig(max_evals=704))
+    assert count_roots(0.2, 0.6, RootSearchConfig(max_evals=705)) == 2
+
+
+def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
+    evans_mod = importlib.import_module("eulerhill.evans")
+    real = evans_mod._evans_batch
+    batches = []
+
+    def zero_at_one_point(cs, theta, d, cfg=None):
+        vals = real(cs, theta, d, cfg)
+        if not batches:
+            vals[5] = 0.0  # an edge point of the first rectangle's batch
+        batches.append(list(cs))
+        return vals
+
+    monkeypatch.setattr(evans_mod, "_evans_batch", zero_at_one_point)
+    assert count_roots(0.4, 0.6) == 4
+    corner = batches[0][0]
+    assert corner == complex(-RootSearchConfig().pad, RootSearchConfig().eps_cut)
+    assert corner not in batches[1]  # the retry walks a jittered rectangle
+    assert batches[1][0].real < corner.real and batches[1][0].imag < corner.imag
+
+
+def test_find_roots_evaluation_count(monkeypatch):
+    evans_mod = importlib.import_module("eulerhill.evans")
+    budgets = []
+
+    class Recorded(evans_mod._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(evans_mod, "_Budget", Recorded)
+    rs = find_roots(0.4, 0.6)
+    assert rs.count == 4
+    assert [b.used for b in budgets] == [1381]
