@@ -9,7 +9,11 @@ polished by damped Newton iteration.
 Contour geometry: the cut [-1, 1] is avoided by keeping Im c >= eps_cut;
 boundary sampling is graded (fine near the cut shadow and near the
 imaginary axis) because roots of small-d classes approach the real axis
-and a coarse boundary walk can alias away their phase winding.
+and a coarse boundary walk can alias away their phase winding.  The fine
+samples lie on a lattice fixed by the edge's line, so rectangles that
+share an edge, or part of one, share those samples through the cache;
+the right-of-axis box is counted as a difference of windings rather
+than walked.
 """
 
 from __future__ import annotations
@@ -61,6 +65,12 @@ class RootSearchConfig:
     disc: DiscriminantConfig = field(default_factory=DiscriminantConfig)
     seed: int = 20250810
 
+    def __post_init__(self):
+        if not 0.0 < self.pad < self.c_max:
+            raise ValueError(
+                f"axis_pad must resolve to a value in (0, c_max = {self.c_max}), got {self.pad}"
+            )
+
     @property
     def pad(self) -> float:
         return self.axis_pad if self.axis_pad is not None else 0.0171 * self.c_max
@@ -108,42 +118,51 @@ class _ContourHit(Exception):
 
 
 def _edge_points(a: complex, b: complex):
-    """Boundary samples on the segment a -> b (excluding b).
+    """Boundary samples on the axis-parallel segment a -> b (excluding b).
 
-    Spacing is bounded by L/12 everywhere and additionally refined where
-    zeros can hide close to the contour: horizontal runs just above the
-    cut, and vertical runs near the imaginary axis.
+    Spacing is bounded by L/12 everywhere and by h = max(2|level|, 0.004)
+    where zeros can hide close to the contour: horizontal runs just above
+    the cut (|x| <= 1.1), and vertical runs near the imaginary axis
+    (|y| <= 1.3).  There the samples are the odd multiples of h/2 (and
+    the endpoints), a lattice that does not depend on the segment: the
+    rectangles sharing an edge, or any part of one, share its fine
+    samples, and the samples next to the cut ends sit at x = +-(1 -+ h/2),
+    not on x = +-1.  The set is built in ascending order and reversed
+    for a descending walk, so it does not depend on the direction.
     """
-    L = abs(b - a)
-    coarse = L / 12.0
-    pts = []
-    if abs(a.imag - b.imag) < 1e-15:
-        y = a.imag
-        sgn = 1.0 if b.real > a.real else -1.0
-        x = a.real
-        while (b.real - x) * sgn > 1e-12:
-            pts.append(complex(x, y))
-            if abs(y) <= 0.2 and -1.1 <= x <= 1.1:
-                h = max(2.0 * abs(y), 0.004)
-            else:
-                h = coarse
-            x += sgn * min(h, coarse)
-    elif abs(a.real - b.real) < 1e-15:
-        x = a.real
-        sgn = 1.0 if b.imag > a.imag else -1.0
-        y = a.imag
-        while (b.imag - y) * sgn > 1e-12:
-            pts.append(complex(x, y))
-            if abs(x) < 0.15 and abs(y) <= 1.3:
-                h = max(2.0 * abs(x), 0.004) if abs(x) > 1e-12 else 0.01
-            else:
-                h = coarse
-            y += sgn * min(h, coarse)
-    else:  # generic segment (not used by the rectangle walker)
-        n = 12
-        for t in range(n):
-            pts.append(a + (b - a) * (t / n))
-    return pts
+    horizontal = a.imag == b.imag
+    if horizontal:
+        level, ta, tb = a.imag, a.real, b.real
+        fine, zone = abs(level) <= 0.2, 1.1
+        h = max(2.0 * abs(level), 0.004)
+    else:
+        level, ta, tb = a.real, a.imag, b.imag
+        fine, zone = abs(level) < 0.15, 1.3
+        h = max(2.0 * abs(level), 0.004) if abs(level) > 1e-12 else 0.01
+    lo, hi = min(ta, tb), max(ta, tb)
+    coarse = (hi - lo) / 12.0
+    knots = [lo]
+    if fine:
+        # the lattice over the zone and one step beyond it on either side
+        k0 = math.ceil(max(lo, -zone - h) / h - 0.5)
+        k1 = math.floor(min(hi, zone + h) / h - 0.5)
+        knots += [t for t in ((k + 0.5) * h for k in range(k0, k1 + 1)) if lo < t < hi]
+    knots.append(hi)
+
+    def step(t):
+        return h if fine and abs(t) <= zone else coarse
+
+    ts = []
+    for p, q in zip(knots, knots[1:]):
+        n = max(1, math.ceil((q - p) / min(coarse, step(p), step(q)) - 1e-9))
+        ts += [p + (q - p) * (i / n) for i in range(n)]
+    ts.append(hi)
+    if ta > tb:
+        ts.reverse()
+    ts.pop()
+    if horizontal:
+        return [complex(t, level) for t in ts]
+    return [complex(level, t) for t in ts]
 
 
 def _winding(f, rect, cache, budget, max_pts=20000):
@@ -212,7 +231,8 @@ def _winding_retry(f, rect, cache, budget, rng, retries):
     raise ContourThroughRootError(f"winding failed after jitter retries: {last}")
 
 
-def _newton(f, z0, cfg, budget):
+def _newton(f, fs, z0, cfg, budget):
+    """Damped Newton from z0; f evaluates one point, fs a list of points."""
     z = complex(z0)
     fz = f(z)
     budget.spend()
@@ -220,7 +240,8 @@ def _newton(f, z0, cfg, budget):
     for _ in range(cfg.newton_steps):
         if abs(fz) < cfg.root_tol:
             return z, abs(fz)
-        df = (f(z + h) - f(z - h)) / (2.0 * h)
+        fp, fm = fs([z + h, z - h])
+        df = (fp - fm) / (2.0 * h)
         budget.spend(2)
         if df == 0:
             break
@@ -254,26 +275,37 @@ class EvansRootSet:
         return self.winding_total
 
 
-def _boxes(cfg: RootSearchConfig):
-    pad = cfg.pad
-    box_a = (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max)
-    box_b = (pad, cfg.c_max, cfg.eps_cut, cfg.c_max)
-    return box_a, box_b
-
-
 def _count_windings(f, cfg, cache, budget, rng):
-    box_a, box_b = _boxes(cfg)
-    wa, box_a = _winding_retry(f, box_a, cache, budget, rng, cfg.retries)
-    wb, box_b = _winding_retry(f, box_b, cache, budget, rng, cfg.retries)
+    """Windings of box A = (-pad, c_max) x (eps_cut, c_max) and of box B.
+
+    Box B is the part of A right of x = pad.  It is not walked: S = A
+    left of that line shares A's left edge and most of its bottom edge,
+    and w_B = w_A - w_S.  A contour hit on S moves only the dividing
+    line, so S and B still partition A.  Returns (w_A, w_B, box A after
+    any jitter).
+    """
+    pad = cfg.pad
+    wa, box_a = _winding_retry(f, (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max),
+                               cache, budget, rng, cfg.retries)
+    x0, _, y0, y1 = box_a
+    for attempt in range(cfg.retries + 1):
+        xm = pad if attempt == 0 else pad * (1.0 + (rng.random() - 0.5) * 0.2)
+        try:
+            ws = _winding(f, (x0, xm, y0, y1), cache, budget)
+            break
+        except _ContourHit as hit:
+            last = hit
+    else:
+        raise ContourThroughRootError(f"strip winding failed after jitter retries: {last}")
     if cfg.guard:
-        big = (box_a[0], 4.0 * cfg.c_max, box_a[2], 4.0 * cfg.c_max)
+        big = (x0, 4.0 * cfg.c_max, y0, 4.0 * cfg.c_max)
         wg, _ = _winding_retry(f, big, cache, budget, rng, cfg.retries)
         if wg != wa:
             raise ConvergenceError(
                 f"winding {wg - wa} detected in the guard annulus "
                 f"[{cfg.c_max}, {4 * cfg.c_max}]; enlarge c_max"
             )
-    return wa, wb, box_a, box_b
+    return wa, wa - ws, box_a
 
 
 def _subdivide(f, rect, w, cfg, cache, budget, rng, out, depth=0):
@@ -332,7 +364,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
     budget = _Budget(cfg.max_evals)
     rng = np.random.default_rng(cfg.seed)
 
-    wa, wb, box_a, box_b = _count_windings(fs, cfg, cache, budget, rng)
+    wa, wb, box_a = _count_windings(fs, cfg, cache, budget, rng)
     total = 2 * (wa + wb)
 
     cells: list = []
@@ -344,7 +376,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
         cx = 0.5 * (rect[0] + rect[1])
         cy = 0.5 * (rect[2] + rect[3])
         if w == 1:
-            z, res = _newton(f, complex(cx, cy), cfg, budget)
+            z, res = _newton(f, fs, complex(cx, cy), cfg, budget)
             if res > cfg.root_tol:
                 raise ConvergenceError(
                     f"Newton stalled at |E| = {res:.2e} near {complex(cx, cy):.4f}"
@@ -416,7 +448,7 @@ def count_roots(
         cache: dict = {}
         budget = _Budget(trial.max_evals)
         rng = np.random.default_rng(trial.seed)
-        wa, wb, _, _ = _count_windings(fs, trial, cache, budget, rng)
+        wa, wb, _ = _count_windings(fs, trial, cache, budget, rng)
         count = 2 * (wa + wb)
         if expected_region is None:
             return count

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerhill import (
     BranchCutError,
@@ -17,13 +19,17 @@ from eulerhill import (
     RegionTag,
     RootSearchConfig,
     Side,
+    Wavevector,
+    class_point,
     classify_rational,
+    companion_basis,
     count_roots,
     derivative_checks,
     evans,
     find_roots,
     s_of_c,
 )
+from eulerhill.evans import _edge_points
 
 N16 = DiscriminantConfig(half_width=16)
 
@@ -194,7 +200,7 @@ def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
 
     def fake_count_windings(f, trial, cache, budget, rng):
         seen.append(trial.retries)
-        return 0, 0, None, None  # misses region I on every rung
+        return 0, 0, None  # misses region I on every rung
 
     monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
     with pytest.raises(OracleMismatchError):
@@ -209,10 +215,10 @@ def test_find_roots_region_is_exact_at_d_zero():
 
 
 def test_count_roots_budget_is_charged_per_distinct_point():
-    # count_roots(0.2, 0.6) evaluates 705 distinct contour points
+    # count_roots(0.2, 0.6) evaluates 425 distinct contour points
     with pytest.raises(ConvergenceError):
-        count_roots(0.2, 0.6, RootSearchConfig(max_evals=704))
-    assert count_roots(0.2, 0.6, RootSearchConfig(max_evals=705)) == 2
+        count_roots(0.2, 0.6, RootSearchConfig(max_evals=424))
+    assert count_roots(0.2, 0.6, RootSearchConfig(max_evals=425)) == 2
 
 
 def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
@@ -247,4 +253,136 @@ def test_find_roots_evaluation_count(monkeypatch):
     monkeypatch.setattr(evans_mod, "_Budget", Recorded)
     rs = find_roots(0.4, 0.6)
     assert rs.count == 4
-    assert [b.used for b in budgets] == [1381]
+    assert [b.used for b in budgets] == [728]
+
+
+def test_axis_pad_must_lie_inside_the_box():
+    for cfg in (dict(axis_pad=0.0), dict(axis_pad=2.0), dict(axis_pad=-0.01),
+                dict(axis_pad=math.nan), dict(c_max=0.5, axis_pad=0.5)):
+        with pytest.raises(ValueError, match="axis_pad"):
+            RootSearchConfig(**cfg)
+    assert RootSearchConfig().pad == 0.0171 * 2.0
+
+
+def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypatch):
+    evans_mod = importlib.import_module("eulerhill.evans")
+    real = evans_mod._newton
+    sizes = []
+
+    def recording(f, fs, z0, cfg, budget):
+        def fs_rec(zs):
+            sizes.append(len(zs))
+            return fs(zs)
+        return real(f, fs_rec, z0, cfg, budget)
+
+    def one_by_one(f, fs, z0, cfg, budget):
+        return real(f, lambda zs: [f(z) for z in zs], z0, cfg, budget)
+
+    monkeypatch.setattr(evans_mod, "_newton", recording)
+    batched = find_roots(0.4, 0.6).roots
+    assert sizes and set(sizes) == {2}
+    monkeypatch.setattr(evans_mod, "_newton", one_by_one)
+    assert find_roots(0.4, 0.6).roots == batched
+
+
+def _classes(*ps):
+    out = []
+    for p in ps:
+        q = companion_basis(p)
+        out += [class_point(p, q, k) for k in range(1, p.p_sq)]
+    return [(cp.theta, cp.d) for cp in out]
+
+
+def test_strip_difference_equals_walking_box_b():
+    evans_mod = importlib.import_module("eulerhill.evans")
+    cfg = RootSearchConfig()
+    pad, c_max, eps = cfg.pad, cfg.c_max, cfg.eps_cut
+    seen = set()
+    for theta, d in _classes(Wavevector(1, 2), Wavevector(2, 3)) + [(0.4, 0.6)]:
+        def fs(cs):
+            return evans_mod._evans_batch(cs, theta, d, cfg.disc)
+        wa, wb, box_a = evans_mod._count_windings(
+            fs, cfg, {}, evans_mod._Budget(cfg.max_evals), np.random.default_rng(cfg.seed))
+        assert box_a == (-pad, c_max, eps, c_max)  # not jittered: B is the fixed box
+        direct = evans_mod._winding(fs, (pad, c_max, eps, c_max), {},
+                                    evans_mod._Budget(cfg.max_evals))
+        assert wb == direct, (theta, d, wa, wb, direct)
+        seen.add(direct)
+    assert seen == {0, 1}  # the quadruplet at (0.4, 0.6) has its root in B
+
+
+def _rect_edges(x0, x1, y0, y1):
+    cs = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
+
+
+# the edges of box A, the strip and the guard box on the count_roots ladder
+_COUNT_EDGES = [
+    edge
+    for eps, c_max in ((1e-3, 2.0), (5e-4, 2.0), (1e-3, 4.0))
+    for pad in (0.0171 * c_max,)
+    for rect in ((-pad, c_max, eps, c_max), (-pad, pad, eps, c_max),
+                 (-pad, 4 * c_max, eps, 4 * c_max))
+    for edge in _rect_edges(*rect)
+]
+
+
+def _span(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).filter(
+        lambda ab: abs(ab[0] - ab[1]) >= 1e-4)
+
+
+_edges = st.one_of(
+    st.sampled_from(_COUNT_EDGES),
+    st.builds(lambda y, xs: (complex(xs[0], y), complex(xs[1], y)),
+              st.floats(2.5e-4, 2e-3), _span(-8.1, 8.1)),
+    st.builds(lambda x, ys: (complex(x, ys[0]), complex(x, ys[1])),
+              st.floats(-0.2, 0.2), _span(2.5e-4, 8.1)),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(edge=_edges, u=st.floats(0.01, 0.99))
+def test_edge_points_depend_only_on_the_edge(edge, u):
+    a, b = edge
+    forward, backward = _edge_points(a, b), _edge_points(b, a)
+    assert forward[0] == a and backward[0] == b
+    assert set(forward) | {b} == set(backward) | {a}
+
+    horizontal = a.imag == b.imag
+    level = a.imag if horizontal else a.real
+
+    def along(z):
+        return z.real if horizontal else z.imag
+
+    def point(t):
+        return complex(t, level) if horizontal else complex(level, t)
+
+    # the spacing rule of the direction-dependent walk this replaced
+    if horizontal:
+        fine, zone = abs(level) <= 0.2, 1.1
+        h = max(2.0 * abs(level), 0.004)
+    else:
+        fine, zone = abs(level) < 0.15, 1.3
+        h = max(2.0 * abs(level), 0.004) if abs(level) > 1e-12 else 0.01
+    ts = sorted(along(z) for z in set(forward) | {b})
+    lo, hi = ts[0], ts[-1]
+    coarse = (hi - lo) / 12.0
+
+    def rule(t):
+        return min(h, coarse) if fine and abs(t) <= zone else coarse
+
+    for p, q in zip(ts, ts[1:]):
+        assert q - p <= min(rule(p), rule(q)) * (1 + 1e-9), (p, q)
+
+    # fine samples sit on the odd multiples of h/2, which every part keeps
+    lattice = [t for t in ts[1:-1] if fine and abs(t) <= zone + 1.001 * h
+               and abs(t / h - 0.5 - round(t / h - 0.5)) < 1e-9]
+    m = lo + u * (hi - lo)
+    for c0, c1 in ((lo, m), (m, hi)):
+        part = {along(z) for z in _edge_points(point(c0), point(c1))}
+        assert all(t in part for t in lattice if c0 < t < c1)
+
+    if horizontal and abs(level) <= 2e-3 and coarse >= h:
+        # next to the cut ends the samples stay h/2 away from x = +-1
+        assert all(abs(abs(t) - 1.0) >= 0.5 * h - 1e-12 for t in ts[1:-1])
