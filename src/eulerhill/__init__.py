@@ -20,7 +20,6 @@ from .errors import (
     OracleMismatchError,
     PoleProximityError,
     PotentialPoleError,
-    SingularMatrixError,
     SingularPotentialError,
     TrivialClassError,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "RegionTag",
     "RootSearchConfig",
     "Side",
-    "SingularMatrixError",
     "SingularPotentialError",
     "SpectralParam",
     "SpectrumReport",

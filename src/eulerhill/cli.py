@@ -11,49 +11,27 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import euler as euler_mod
-from .conformal import s_of_c
+from .conformal import Side, s_at_origin, s_of_c
 from .errors import BranchCutError, EulerHillError, SingularPotentialError
 from .evans import RootSearchConfig, evans, find_roots
-from .hill import DiscriminantConfig, discriminant, discriminant_slope_at_zero
+from .hill import DiscriminantConfig, discriminant, discriminant_batch, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
-from .lattice import (
-    Wavevector,
-    class_line_count,
-    class_point,
-    classify_rational,
-    companion_basis,
-    lattice_points_in_disk,
-)
+from .lattice import Wavevector, class_line_count, classify_rational, companion_basis
 from .monodromy import integrate_monodromy
 
 DEFAULTS_ENV = "EULERHILL_DEFAULTS"
 
+#: global settings by defaults-file key, with their types; each key is
+#: also a flag (--half-width for half_width), except --format for fmt
+SETTINGS = {"half_width": int, "integrator_tol": float, "root_tol": float,
+            "c_max": float, "eps_cut": float, "out": str, "fmt": str}
 
-@dataclass
-class RunConfig:
-    half_width: int = 16
-    integrator_tol: float = 1e-9
-    root_tol: float = 1e-10
-    c_max: float = 2.0
-    eps_cut: float = 1e-3
-    normalize: bool = False
-    out: str | None = None
-    fmt: str = "csv"
-
-    def disc(self) -> DiscriminantConfig:
-        return DiscriminantConfig(half_width=self.half_width)
-
-    def search(self) -> RootSearchConfig:
-        return RootSearchConfig(
-            c_max=self.c_max, eps_cut=self.eps_cut, root_tol=self.root_tol,
-            disc=self.disc(),
-        )
+FORMATS = ("csv", "json")
 
 
 def fmt_float(x: float) -> str:
@@ -76,18 +54,17 @@ def parse_pair(text: str):
     return int(parts[0]), int(parts[1])
 
 
-def _write(cfg: RunConfig, lines):
+def _write(args, lines):
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def cmd_discriminant(args, cfg: RunConfig) -> int:
+def cmd_discriminant(args) -> int:
     mus = np.linspace(args.mu_min, args.mu_max, args.points)
-    disc_cfg = cfg.disc()
     rows = ["mu,re_delta,im_delta"]
     try:
         sp = s_of_c(args.c)
@@ -98,75 +75,68 @@ def cmd_discriminant(args, cfg: RunConfig) -> int:
         if sp is None:
             rows.append(f"{fmt_float(mu)},nan,nan")
             continue
-        val = discriminant(sp, float(mu), disc_cfg)
+        val = discriminant(sp, float(mu), args.search.disc)
         rows.append(f"{fmt_float(mu)},{fmt_float(val.real)},{fmt_float(val.imag)}")
-    _write(cfg, rows)
+    _write(args, rows)
     return 0
 
 
-def _grid_with_flags(values):
-    """Flag entries whose Im part changes sign against the next row/col."""
-    im = np.imag(values)
-    flag = np.zeros(values.shape, dtype=bool)
+def _grid_axes(args):
+    return (np.linspace(args.re_min, args.re_max, args.points_re),
+            np.linspace(args.im_min, args.im_max, args.points_im))
+
+
+def _write_grid(args, head: str, res, ims, vals, ok) -> None:
+    """CSV rows of a (len(ims), len(res)) grid of Delta values.
+
+    The im-zero flag marks a valid entry whose Im part changes sign
+    against the next row or column; invalid entries count as 0 there.
+    """
+    im = np.imag(np.where(ok, vals, 0.0))
+    flag = np.zeros(vals.shape, dtype=bool)
     flag[:-1, :] |= np.signbit(im[:-1, :]) != np.signbit(im[1:, :])
     flag[:, :-1] |= np.signbit(im[:, :-1]) != np.signbit(im[:, 1:])
-    return flag
-
-
-def cmd_contour_c(args, cfg: RunConfig) -> int:
-    disc_cfg = cfg.disc()
-    res = np.linspace(args.re_min, args.re_max, args.points_re)
-    ims = np.linspace(args.im_min, args.im_max, args.points_im)
-    mu = args.d * args.d
-    vals = np.zeros((len(ims), len(res)), dtype=complex)
-    ok = np.ones(vals.shape, dtype=bool)
-    for i, b in enumerate(ims):
-        for j, a in enumerate(res):
-            try:
-                vals[i, j] = discriminant(s_of_c(complex(a, b)), mu, disc_cfg)
-            except (BranchCutError, SingularPotentialError):
-                vals[i, j] = complex("nan")
-                ok[i, j] = False
-    flags = _grid_with_flags(np.where(ok, vals, 0.0))
-    rows = ["re_c,im_c,re_delta,im_delta,im_zero_flag"]
+    rows = [f"{head},re_delta,im_delta,im_zero_flag"]
     for i, b in enumerate(ims):
         for j, a in enumerate(res):
             v = vals[i, j]
             rows.append(
                 f"{fmt_float(a)},{fmt_float(b)},{fmt_float(v.real)},"
-                f"{fmt_float(v.imag)},{int(flags[i, j] and ok[i, j])}"
+                f"{fmt_float(v.imag)},{int(flag[i, j] and ok[i, j])}"
             )
-    _write(cfg, rows)
+    _write(args, rows)
+
+
+def cmd_contour_c(args) -> int:
+    res, ims = _grid_axes(args)
+    ok = np.ones((len(ims), len(res)), dtype=bool)
+    sps = []
+    for i, b in enumerate(ims):
+        for j, a in enumerate(res):
+            try:
+                sps.append(s_of_c(complex(a, b)))
+            except (BranchCutError, SingularPotentialError):
+                ok[i, j] = False
+    vals = np.full(ok.shape, complex("nan"))
+    vals[ok] = discriminant_batch(sps, args.d * args.d, args.search.disc)
+    _write_grid(args, "re_c,im_c", res, ims, vals, ok)
     return 0
 
 
-def cmd_contour_mu(args, cfg: RunConfig) -> int:
-    disc_cfg = cfg.disc()
+def cmd_contour_mu(args) -> int:
     try:
         sp = s_of_c(args.c)
     except (BranchCutError, SingularPotentialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    res = np.linspace(args.re_min, args.re_max, args.points_re)
-    ims = np.linspace(args.im_min, args.im_max, args.points_im)
-    vals = np.zeros((len(ims), len(res)), dtype=complex)
-    for i, b in enumerate(ims):
-        for j, a in enumerate(res):
-            vals[i, j] = discriminant(sp, complex(a, b), disc_cfg)
-    flags = _grid_with_flags(vals)
-    rows = ["re_mu,im_mu,re_delta,im_delta,im_zero_flag"]
-    for i, b in enumerate(ims):
-        for j, a in enumerate(res):
-            v = vals[i, j]
-            rows.append(
-                f"{fmt_float(a)},{fmt_float(b)},{fmt_float(v.real)},"
-                f"{fmt_float(v.imag)},{int(flags[i, j])}"
-            )
-    _write(cfg, rows)
+    res, ims = _grid_axes(args)
+    vals = np.array([[discriminant(sp, complex(a, b), args.search.disc) for a in res]
+                     for b in ims])
+    _write_grid(args, "re_mu,im_mu", res, ims, vals, np.ones(vals.shape, dtype=bool))
     return 0
 
 
-def cmd_circles(args, cfg: RunConfig) -> int:
+def cmd_circles(args) -> int:
     den = args.denominator
     rows = ["theta,d,region"]
     for i in range(0, den // 2 + 1):
@@ -175,13 +145,13 @@ def cmd_circles(args, cfg: RunConfig) -> int:
             d = Fraction(j, den)
             tag = classify_rational(theta, d)
             rows.append(f"{fmt_float(float(theta))},{fmt_float(float(d))},{tag.value}")
-    _write(cfg, rows)
+    _write(args, rows)
     return 0
 
 
-def cmd_evans_roots(args, cfg: RunConfig) -> int:
-    rs = find_roots(args.theta, args.d, cfg.search())
-    if cfg.fmt == "json":
+def cmd_evans_roots(args) -> int:
+    rs = find_roots(args.theta, args.d, args.search)
+    if args.fmt == "json":
         payload = {
             "schema_version": euler_mod.SCHEMA_VERSION,
             "theta": args.theta,
@@ -192,19 +162,19 @@ def cmd_evans_roots(args, cfg: RunConfig) -> int:
                 {"re": c.real, "im": c.imag, "multiplicity": m} for c, m in rs.roots
             ],
         }
-        _write(cfg, [json.dumps(payload, indent=2)])
+        _write(args, [json.dumps(payload, indent=2)])
     else:
         rows = ["re_c,im_c,multiplicity"]
         for c, m in rs.roots:
             rows.append(f"{fmt_float(c.real)},{fmt_float(c.imag)},{m}")
-        _write(cfg, rows)
+        _write(args, rows)
     return 0
 
 
-def cmd_spectrum(args, cfg: RunConfig) -> int:
+def cmd_spectrum(args) -> int:
     p = Wavevector(*args.p)
-    report = euler_mod.spectrum_report(p, cfg.search(), count_only=args.count_only)
-    if cfg.fmt == "csv":
+    report = euler_mod.spectrum_report(p, args.search, count_only=args.count_only)
+    if args.fmt == "csv":
         rows = ["k,theta_num,theta_den,d_num,d_den,region,count,roots_lambda"]
         for cs in report.per_class:
             cp = cs.point
@@ -219,18 +189,17 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
             f"# lattice_count={report.lattice_count} total_count={report.total_count} "
             f"sharp={report.sharp}"
         )
-        _write(cfg, rows)
+        _write(args, rows)
     else:
-        _write(cfg, [euler_mod.report_to_json(report)])
+        _write(args, [euler_mod.report_to_json(report)])
     return 0
 
 
-def _verify_checks(level: str, cfg: RunConfig):
-    disc_cfg = cfg.disc()
+def _verify_checks(args):
+    level, search, disc_cfg = args.level, args.search, args.search.disc
+    tol = {} if args.integrator_tol is None else {"tol": args.integrator_tol}
 
     def closed_form_origin():
-        from .conformal import Side, s_at_origin
-
         sp = s_at_origin(Side.UPPER)
         worst = 0.0
         for d in np.linspace(0.0, 1.0, 50):
@@ -248,7 +217,7 @@ def _verify_checks(level: str, cfg: RunConfig):
             ]
         worst = 0.0
         for c, mu in pts:
-            tr = integrate_monodromy(c, mu, tol=cfg.integrator_tol).trace
+            tr = integrate_monodromy(c, mu, **tol).trace
             worst = max(worst, abs(discriminant(s_of_c(c), mu, disc_cfg) - tr))
         return worst < 1e-6, f"worst |Delta_det - trace| = {worst:.2e}"
 
@@ -295,7 +264,7 @@ def _verify_checks(level: str, cfg: RunConfig):
         def sharpness_small():
             for pp in ((1, 1), (1, 2), (2, 1), (1, 3)):
                 p = Wavevector(*pp)
-                report = euler_mod.spectrum_report(p, cfg.search(), count_only=True)
+                report = euler_mod.spectrum_report(p, search, count_only=True)
                 if not report.sharp:
                     return False, f"p={pp} not sharp"
             return True, "sharp for all tested p"
@@ -307,7 +276,7 @@ def _verify_checks(level: str, cfg: RunConfig):
                 for k in range(1, p.p_sq):
                     if 2 * class_line_count(p, companion_basis(p), k) == 0:
                         continue
-                    rep = cross_validate(p, k, M=60, cfg=cfg.search())
+                    rep = cross_validate(p, k, M=60, cfg=search)
                     worst = max(worst, rep["max_pairing_distance"])
             return worst < 1e-4, f"worst pairing distance {worst:.2e}"
 
@@ -316,9 +285,9 @@ def _verify_checks(level: str, cfg: RunConfig):
     return checks
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     failures = 0
-    for name, fn in _verify_checks(args.level, cfg):
+    for name, fn in _verify_checks(args):
         try:
             ok, detail = fn()
         except EulerHillError as exc:
@@ -329,12 +298,50 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _load_defaults() -> dict:
+def _apply_settings(args) -> None:
+    """Fill the unset global settings of args and build args.search.
+
+    Precedence: a flag, then the EULERHILL_DEFAULTS file, then the
+    library default.  A file value must have its flag's type.  Raises
+    ValueError naming the setting for an unknown key, a wrongly typed
+    value or one out of range; the library configs check their own
+    ranges.
+    """
     path = os.environ.get(DEFAULTS_ENV)
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
+    if path:
+        try:
+            with open(path) as fh:
+                found = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read {DEFAULTS_ENV} file {path}: {exc}") from exc
+        if not isinstance(found, dict):
+            raise ValueError(f"{DEFAULTS_ENV} file {path} must hold a JSON object")
+        unknown = sorted(set(found) - set(SETTINGS))
+        if unknown:
+            raise ValueError(f"unknown keys {', '.join(unknown)} in {DEFAULTS_ENV} file "
+                             f"{path}; valid keys are {', '.join(SETTINGS)}")
+        for key, value in found.items():
+            kind = SETTINGS[key]
+            if value is None:  # null leaves the setting unset
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r} "
+                                 f"in {DEFAULTS_ENV} file {path}")
+            if getattr(args, key) is None:
+                setattr(args, key, kind(value))
+    if args.fmt is None:
+        args.fmt = "csv"
+    if args.fmt not in FORMATS:
+        raise ValueError(f"fmt must be one of {', '.join(FORMATS)}, got {args.fmt!r}")
+    if args.integrator_tol is not None and not args.integrator_tol > 0.0:
+        raise ValueError(f"integrator_tol must be positive, got {args.integrator_tol}")
+
+    def given(*keys):
+        return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+    args.search = RootSearchConfig(disc=DiscriminantConfig(**given("half_width")),
+                                   **given("c_max", "eps_cut", "root_tol"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,14 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Point spectrum of the linearised flow about a "
                     "cosine shear on the torus",
     )
-    parser.add_argument("--half-width", type=int, default=None,
-                        help="determinant truncation half-width (default 16)")
-    parser.add_argument("--integrator-tol", type=float, default=None)
-    parser.add_argument("--root-tol", type=float, default=None)
-    parser.add_argument("--c-max", type=float, default=None)
-    parser.add_argument("--eps-cut", type=float, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    for key, kind in SETTINGS.items():
+        flag = "--format" if key == "fmt" else "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=kind, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -406,25 +408,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    cfg = RunConfig()
-    defaults = _load_defaults()
-    valid = [f.name for f in fields(RunConfig)]
-    unknown = sorted(set(defaults) - set(valid))
-    if unknown:
-        print(f"error: unknown keys {', '.join(unknown)} in {DEFAULTS_ENV} file "
-              f"{os.environ[DEFAULTS_ENV]}; valid keys are {', '.join(valid)}",
-              file=sys.stderr)
+    try:
+        _apply_settings(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    for key, value in defaults.items():
-        setattr(cfg, key, value)
-    for key in ("half_width", "integrator_tol", "root_tol",
-                "c_max", "eps_cut", "out", "fmt"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
 
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except EulerHillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,10 +33,6 @@ class PoleProximityError(EulerHillError):
     """Direct Hill determinant evaluated too close to a pole Lambda = n^2."""
 
 
-class SingularMatrixError(EulerHillError):
-    """Matrix is singular where an inverse is required."""
-
-
 class ConvergenceError(EulerHillError):
     """Iteration budget exhausted before reaching the requested tolerance."""
 

@@ -48,36 +48,48 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
+# Fixed search settings: the half-width of the axis strip and the axis
+# snap tolerance as fractions of c_max, the Newton steps per root, the
+# subdivision depth, the jittered retries of a contour that hits a zero,
+# and the samples at which a winding walk stops refining.
+_AXIS_PAD = 0.0171
+_SNAP_TOL = 1e-8
+_NEWTON_STEPS = 80
+_MAX_DEPTH = 48
+_RETRIES = 6
+_MAX_PTS = 20000
+
+
 @dataclass(frozen=True)
 class RootSearchConfig:
-    """Geometry, tolerances and budgets for the winding-number search."""
+    """Geometry, tolerances and budgets for the winding-number search.
+
+    The search box is (-pad, c_max) x (eps_cut, c_max), and a guard box
+    reaching 4 c_max always checks that no root lies beyond it.  Fixed,
+    not settable: _AXIS_PAD, _SNAP_TOL, _NEWTON_STEPS, _MAX_DEPTH,
+    _RETRIES and _MAX_PTS.
+    """
 
     c_max: float = 2.0
     eps_cut: float = 1e-3
-    axis_pad: float | None = None  # default 0.0171 * c_max
     root_tol: float = 1e-10
-    snap_tol: float | None = None  # default 1e-8 * c_max
-    newton_steps: int = 80
     max_evals: int = 60000
-    max_depth: int = 48
-    guard: bool = True
-    retries: int = 6
     disc: DiscriminantConfig = field(default_factory=DiscriminantConfig)
     seed: int = 20250810
 
     def __post_init__(self):
-        if not 0.0 < self.pad < self.c_max:
+        if not self.c_max > 0.0:
+            raise ValueError(f"c_max must be positive, got {self.c_max}")
+        if not 0.0 < self.eps_cut < self.c_max:
             raise ValueError(
-                f"axis_pad must resolve to a value in (0, c_max = {self.c_max}), got {self.pad}"
+                f"eps_cut must lie in (0, c_max = {self.c_max}), got {self.eps_cut}"
             )
+        if not self.root_tol > 0.0:
+            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
 
     @property
     def pad(self) -> float:
-        return self.axis_pad if self.axis_pad is not None else 0.0171 * self.c_max
-
-    @property
-    def snap(self) -> float:
-        return self.snap_tol if self.snap_tol is not None else 1e-8 * self.c_max
+        return _AXIS_PAD * self.c_max
 
 
 DEFAULT_SEARCH = RootSearchConfig()
@@ -165,7 +177,7 @@ def _edge_points(a: complex, b: complex):
     return [complex(level, t) for t in ts]
 
 
-def _winding(f, rect, cache, budget, max_pts=20000):
+def _winding(f, rect, cache, budget):
     """Winding number of f over the rectangle boundary, counterclockwise.
 
     f maps a list of points to an array of values.  The uncached boundary
@@ -194,7 +206,7 @@ def _winding(f, rect, cache, budget, max_pts=20000):
     pts.append(pts[0])
     vals = F(pts)
 
-    while len(pts) < max_pts:
+    while len(pts) < _MAX_PTS:
         split = [i for i in range(1, len(pts))
                  if abs(cmath.phase(vals[i] / vals[i - 1])) >= math.pi / 2]
         if not split:
@@ -213,11 +225,11 @@ def _winding(f, rect, cache, budget, max_pts=20000):
     return int(round(w))
 
 
-def _winding_retry(f, rect, cache, budget, rng, retries):
+def _winding_retry(f, rect, cache, budget, rng):
     """Winding with outward jitter of the rectangle on contour hits."""
     x0, x1, y0, y1 = rect
     last = None
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         try:
             return _winding(f, (x0, x1, y0, y1), cache, budget), (x0, x1, y0, y1)
         except _ContourHit as hit:
@@ -237,7 +249,7 @@ def _newton(f, fs, z0, cfg, budget):
     fz = f(z)
     budget.spend()
     h = 1e-7 * max(1.0, abs(z))
-    for _ in range(cfg.newton_steps):
+    for _ in range(_NEWTON_STEPS):
         if abs(fz) < cfg.root_tol:
             return z, abs(fz)
         fp, fm = fs([z + h, z - h])
@@ -286,9 +298,9 @@ def _count_windings(f, cfg, cache, budget, rng):
     """
     pad = cfg.pad
     wa, box_a = _winding_retry(f, (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max),
-                               cache, budget, rng, cfg.retries)
+                               cache, budget, rng)
     x0, _, y0, y1 = box_a
-    for attempt in range(cfg.retries + 1):
+    for attempt in range(_RETRIES + 1):
         xm = pad if attempt == 0 else pad * (1.0 + (rng.random() - 0.5) * 0.2)
         try:
             ws = _winding(f, (x0, xm, y0, y1), cache, budget)
@@ -297,14 +309,13 @@ def _count_windings(f, cfg, cache, budget, rng):
             last = hit
     else:
         raise ContourThroughRootError(f"strip winding failed after jitter retries: {last}")
-    if cfg.guard:
-        big = (x0, 4.0 * cfg.c_max, y0, 4.0 * cfg.c_max)
-        wg, _ = _winding_retry(f, big, cache, budget, rng, cfg.retries)
-        if wg != wa:
-            raise ConvergenceError(
-                f"winding {wg - wa} detected in the guard annulus "
-                f"[{cfg.c_max}, {4 * cfg.c_max}]; enlarge c_max"
-            )
+    big = (x0, 4.0 * cfg.c_max, y0, 4.0 * cfg.c_max)
+    wg, _ = _winding_retry(f, big, cache, budget, rng)
+    if wg != wa:
+        raise ConvergenceError(
+            f"winding {wg - wa} detected in the guard annulus "
+            f"[{cfg.c_max}, {4 * cfg.c_max}]; enlarge c_max"
+        )
     return wa, wa - ws, box_a
 
 
@@ -320,9 +331,9 @@ def _subdivide(f, rect, w, cfg, cache, budget, rng, out, depth=0):
     if wide <= 1e-6 * cfg.c_max:
         out.append((rect, w))  # unresolved cluster: multiple root
         return
-    if depth > cfg.max_depth:
+    if depth > _MAX_DEPTH:
         raise ConvergenceError("subdivision depth exhausted")
-    for attempt in range(cfg.retries + 1):
+    for attempt in range(_RETRIES + 1):
         jit = 0.0 if attempt == 0 else (rng.random() - 0.5) * 0.2
         try:
             if (x1 - x0) >= (y1 - y0):
@@ -370,7 +381,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
     cells: list = []
     _subdivide(fs, box_a, wa, cfg, cache, budget, rng, cells)
 
-    snap = cfg.snap
+    snap = _SNAP_TOL * cfg.c_max
     q1: list = []
     for rect, w in cells:
         cx = 0.5 * (rect[0] + rect[1])

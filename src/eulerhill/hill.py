@@ -66,6 +66,9 @@ __all__ = [
 #: points per kernel call; bounds the (n, 2N+1, 2N+1) temporaries
 _CHUNK = 16
 
+#: hill_determinant() refuses Lambda this close to a pole n^2
+_POLE_GUARD = 1e-8
+
 #: modes of the rank-2 Schur sums before the summation-by-parts tail
 _SCHUR_TERMS = 360
 
@@ -90,11 +93,10 @@ class DiscriminantConfig:
     """Truncation parameters for determinant-based evaluations."""
 
     half_width: int = 16
-    pole_guard: float = 1e-8
 
     def __post_init__(self):
         if self.half_width < 1:
-            raise ValueError("half_width must be >= 1")
+            raise ValueError(f"half_width must be >= 1, got {self.half_width}")
 
 
 DEFAULT_CONFIG = DiscriminantConfig()
@@ -199,15 +201,15 @@ def hill_determinant(sp: SpectralParam, lam: complex, cfg: DiscriminantConfig | 
     """Normalized determinant D(Lambda) of the plain truncation.
 
     D = K(Lambda) / (Lambda * prod_{n=1..N} (Lambda - n^2)^2); raises
-    PoleProximityError within pole_guard of a pole.  Use discriminant()
+    PoleProximityError within _POLE_GUARD of a pole.  Use discriminant()
     for the pole-free combination.
     """
     cfg = cfg or DEFAULT_CONFIG
     N = cfg.half_width
     lam = complex(lam)
     for n in range(0, N + 1):
-        if abs(lam - n * n) < cfg.pole_guard:
-            raise PoleProximityError(f"Lambda = {lam} within pole_guard of n^2 = {n * n}")
+        if abs(lam - n * n) < _POLE_GUARD:
+            raise PoleProximityError(f"Lambda = {lam} within {_POLE_GUARD} of n^2 = {n * n}")
     B = _cleared_array(sp, lam, N)
     K4 = np.linalg.det(B / _modes(N).row_scale[:, None])
     ns = np.arange(1, N + 1, dtype=float)

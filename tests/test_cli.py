@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from eulerhill import DiscriminantConfig, discriminant, s_of_c
 from eulerhill.cli import main
 
 
@@ -170,7 +171,7 @@ def test_output_file(tmp_path, capsys):
 
 def test_defaults_file_via_env(tmp_path, capsys, monkeypatch):
     defaults = tmp_path / "defaults.json"
-    defaults.write_text(json.dumps({"fmt": "json"}))
+    defaults.write_text(json.dumps({"fmt": "json", "out": None}))  # null: unset
     monkeypatch.setenv("EULERHILL_DEFAULTS", str(defaults))
     code, out = run_cli(["evans-roots", "--theta", "0.1", "--d", "0.6"], capsys)
     assert code == 0
@@ -187,3 +188,49 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert "half_widht" in captured.err and "tail_cutoff" in captured.err
     assert "half_width" in captured.err  # the valid keys are listed
+
+
+@pytest.mark.parametrize("flags, file_values, name", [
+    (["--half-width", "0"], None, "half_width"),
+    (["--c-max", "-1"], None, "c_max"),
+    (["--eps-cut", "5"], None, "eps_cut"),
+    (["--integrator-tol", "-1"], None, "integrator_tol"),
+    ([], {"half_width": "8"}, "half_width"),
+    ([], {"half_width": 8.5}, "half_width"),
+    ([], {"c_max": True}, "c_max"),
+    ([], {"fmt": "xml"}, "fmt"),
+    ([], {"normalize": True}, "normalize"),
+    ([], "{not json", "EULERHILL_DEFAULTS"),
+])
+def test_bad_settings_exit_2(flags, file_values, name, tmp_path, capsys, monkeypatch):
+    if file_values is not None:
+        defaults = tmp_path / "defaults.json"
+        text = file_values if isinstance(file_values, str) else json.dumps(file_values)
+        defaults.write_text(text)
+        monkeypatch.setenv("EULERHILL_DEFAULTS", str(defaults))
+    code = main(flags + ["verify"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and name in captured.err
+
+
+def test_settings_precedence(tmp_path, capsys, monkeypatch):
+    args = ["discriminant", "--c", "0.1+0.2j", "--mu-min", "0.3", "--mu-max", "0.3",
+            "--points", "1"]
+
+    def delta(*flags):
+        code, out = run_cli(list(flags) + args, capsys)
+        assert code == 0
+        return complex(*map(float, out.splitlines()[1].split(",")[1:]))
+
+    def ref(n):
+        return discriminant(s_of_c(0.1 + 0.2j), 0.3, DiscriminantConfig(half_width=n))
+
+    assert len({ref(n) for n in (12, 14, 16)}) == 3  # the half-width shows in Delta
+    assert delta() == ref(16)  # library default
+    defaults = tmp_path / "defaults.json"
+    defaults.write_text(json.dumps({"half_width": 12}))
+    monkeypatch.setenv("EULERHILL_DEFAULTS", str(defaults))
+    assert delta() == ref(12)  # defaults file beats library default
+    assert delta("--half-width", "14") == ref(14)  # flag beats defaults file

@@ -184,8 +184,7 @@ def test_derivative_checks_degenerate_values():
 
 
 def test_guard_pass_annulus_is_quiet():
-    cfg = RootSearchConfig(guard=True)
-    assert count_roots(0.1, 0.6, cfg) == 2
+    assert count_roots(0.1, 0.6) == 2
 
 
 def test_count_mismatch_raises_oracle_error():
@@ -199,13 +198,13 @@ def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
     seen = []
 
     def fake_count_windings(f, trial, cache, budget, rng):
-        seen.append(trial.retries)
+        seen.append(trial.root_tol)
         return 0, 0, None  # misses region I on every rung
 
     monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
     with pytest.raises(OracleMismatchError):
-        count_roots(0.1, 0.6, RootSearchConfig(retries=1), expected_region=RegionTag.REGION_I)
-    assert seen == [1, 1, 1]
+        count_roots(0.1, 0.6, RootSearchConfig(root_tol=1e-9), expected_region=RegionTag.REGION_I)
+    assert seen == [1e-9, 1e-9, 1e-9]
 
 
 def test_find_roots_region_is_exact_at_d_zero():
@@ -256,11 +255,17 @@ def test_find_roots_evaluation_count(monkeypatch):
     assert [b.used for b in budgets] == [728]
 
 
-def test_axis_pad_must_lie_inside_the_box():
-    for cfg in (dict(axis_pad=0.0), dict(axis_pad=2.0), dict(axis_pad=-0.01),
-                dict(axis_pad=math.nan), dict(c_max=0.5, axis_pad=0.5)):
-        with pytest.raises(ValueError, match="axis_pad"):
-            RootSearchConfig(**cfg)
+def test_search_box_must_be_well_formed():
+    # an empty or inverted box would count roots wrongly without an error,
+    # and eps_cut <= 0 reaches the cut
+    for bad, name in ((dict(c_max=-1.0), "c_max"), (dict(c_max=0.0), "c_max"),
+                      (dict(c_max=math.nan), "c_max"), (dict(eps_cut=5.0), "eps_cut"),
+                      (dict(eps_cut=2.0), "eps_cut"), (dict(eps_cut=-0.01), "eps_cut"),
+                      (dict(eps_cut=0.0), "eps_cut"), (dict(eps_cut=math.nan), "eps_cut"),
+                      (dict(c_max=0.5, eps_cut=0.5), "eps_cut"),
+                      (dict(root_tol=0.0), "root_tol"), (dict(root_tol=-1.0), "root_tol")):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            RootSearchConfig(**bad)
     assert RootSearchConfig().pad == 0.0171 * 2.0
 
 
