@@ -7,19 +7,17 @@ oracles (direct monodromy integration and a truncated Fourier-space
 class operator) cross-check every spectral result.
 """
 
-from .conformal import Side, SpectralParam, cut_distance, fourier_coeff, potential, s_at_origin, s_of_c
+from .conformal import Side, SpectralParam, cut_distance, s_at_origin, s_of_c
 from .errors import (
     BranchCutError,
     ClassRangeError,
     ContourThroughRootError,
     ConvergenceError,
     CoprimalityError,
-    DegenerateParameterError,
     EigenError,
     EulerHillError,
     OracleMismatchError,
     PoleProximityError,
-    PotentialPoleError,
     SingularPotentialError,
     TrivialClassError,
 )
@@ -31,7 +29,7 @@ from .euler import (
     report_to_json,
     spectrum_report,
 )
-from .evans import EvansRootSet, RootSearchConfig, count_roots, derivative_checks, evans, find_roots
+from .evans import EvansRootSet, RootSearchConfig, count_roots, find_roots
 from .hill import (
     DiscriminantConfig,
     discriminant,
@@ -54,7 +52,7 @@ from .lattice import (
     lattice_points_in_disk,
     representative,
 )
-from .monodromy import MonodromyResult, integrate_monodromy, quasiperiodic_residual
+from .monodromy import MonodromyResult, integrate_monodromy
 
 __version__ = "0.1.0"
 
@@ -67,7 +65,6 @@ __all__ = [
     "ContourThroughRootError",
     "ConvergenceError",
     "CoprimalityError",
-    "DegenerateParameterError",
     "DiscriminantConfig",
     "EigenError",
     "EulerHillError",
@@ -76,7 +73,6 @@ __all__ = [
     "MonodromyResult",
     "OracleMismatchError",
     "PoleProximityError",
-    "PotentialPoleError",
     "ROOT_COUNT_BY_REGION",
     "RegionTag",
     "RootSearchConfig",
@@ -94,21 +90,16 @@ __all__ = [
     "count_roots",
     "cross_validate",
     "cut_distance",
-    "derivative_checks",
     "discriminant",
     "discriminant_batch",
     "discriminant_slope_at_zero",
-    "evans",
     "find_roots",
-    "fourier_coeff",
     "full_evans",
     "hill_determinant",
     "integrate_monodromy",
     "jacobi_matrix",
     "jacobi_spectrum",
     "lattice_points_in_disk",
-    "potential",
-    "quasiperiodic_residual",
     "report_to_dict",
     "report_to_json",
     "representative",

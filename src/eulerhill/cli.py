@@ -15,14 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import checks
 from . import euler as euler_mod
-from .conformal import Side, s_at_origin, s_of_c
+from .conformal import s_of_c
 from .errors import BranchCutError, EulerHillError, SingularPotentialError
-from .evans import RootSearchConfig, evans, find_roots
-from .hill import DiscriminantConfig, discriminant, discriminant_batch, discriminant_slope_at_zero
-from .jacobi import cross_validate, jacobi_spectrum
-from .lattice import Wavevector, class_line_count, classify_rational, companion_basis
-from .monodromy import integrate_monodromy
+from .evans import RootSearchConfig, find_roots
+from .hill import DiscriminantConfig, discriminant, discriminant_batch
+from .lattice import Wavevector, classify_rational
 
 DEFAULTS_ENV = "EULERHILL_DEFAULTS"
 
@@ -63,18 +62,22 @@ def _write(args, lines):
         sys.stdout.write(text)
 
 
-def cmd_discriminant(args) -> int:
-    mus = np.linspace(args.mu_min, args.mu_max, args.points)
-    rows = ["mu,re_delta,im_delta"]
+def _s_of_flag_c(c: complex):
+    """s(c) for a --c flag, or None after one error line: c on the cut
+    is a usage error."""
     try:
-        sp = s_of_c(args.c)
+        return s_of_c(c)
     except (BranchCutError, SingularPotentialError) as exc:
-        print(f"warning: {exc}", file=sys.stderr)
-        sp = None
-    for mu in mus:
-        if sp is None:
-            rows.append(f"{fmt_float(mu)},nan,nan")
-            continue
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_discriminant(args) -> int:
+    sp = _s_of_flag_c(args.c)
+    if sp is None:
+        return 2
+    rows = ["mu,re_delta,im_delta"]
+    for mu in np.linspace(args.mu_min, args.mu_max, args.points):
         val = discriminant(sp, float(mu), args.search.disc)
         rows.append(f"{fmt_float(mu)},{fmt_float(val.real)},{fmt_float(val.imag)}")
     _write(args, rows)
@@ -124,10 +127,8 @@ def cmd_contour_c(args) -> int:
 
 
 def cmd_contour_mu(args) -> int:
-    try:
-        sp = s_of_c(args.c)
-    except (BranchCutError, SingularPotentialError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    sp = _s_of_flag_c(args.c)
+    if sp is None:
         return 2
     res, ims = _grid_axes(args)
     vals = np.array([[discriminant(sp, complex(a, b), args.search.disc) for a in res]
@@ -195,104 +196,17 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _verify_checks(args):
-    level, search, disc_cfg = args.level, args.search, args.search.disc
-    tol = {} if args.integrator_tol is None else {"tol": args.integrator_tol}
-
-    def closed_form_origin():
-        sp = s_at_origin(Side.UPPER)
-        worst = 0.0
-        for d in np.linspace(0.0, 1.0, 50):
-            ref = 2.0 * math.cos(2.0 * math.pi * math.sqrt(1.0 - d * d))
-            worst = max(worst, abs(discriminant(sp, d * d, disc_cfg) - ref))
-        return worst < 1e-9, f"max deviation {worst:.2e}"
-
-    def oracle_agreement():
-        pts = [(2.0, 0.25), (0.2j, 0.5), (0.1 + 0.2j, 0.25), (0.5 + 0.7j, 0.09)]
-        if level == "full":
-            pts = [
-                (c, mu)
-                for c in (2.0, 0.2j, 1j / math.sqrt(2), 0.1 + 0.2j, 0.5 + 0.7j)
-                for mu in (0.0, 0.09, 0.25, 0.5, 1.0)
-            ]
-        worst = 0.0
-        for c, mu in pts:
-            tr = integrate_monodromy(c, mu, **tol).trace
-            worst = max(worst, abs(discriminant(s_of_c(c), mu, disc_cfg) - tr))
-        return worst < 1e-6, f"worst |Delta_det - trace| = {worst:.2e}"
-
-    def slope_formula():
-        worst = 0.0
-        for c in (2.0, 3j, 0.5 + 0.7j):
-            sp = s_of_c(c)
-            h = 1e-5
-            fd = (discriminant(sp, h, disc_cfg) - discriminant(sp, -h, disc_cfg)) / (2 * h)
-            cl = discriminant_slope_at_zero(c)
-            worst = max(worst, abs(fd - cl) / abs(cl))
-        return worst < 1e-5, f"worst relative deviation {worst:.2e}"
-
-    def jacobi_counts():
-        ps = [(1, 2)] if level == "quick" else [(1, 1), (1, 2), (2, 1), (1, 3)]
-        for pp in ps:
-            p = Wavevector(*pp)
-            q = companion_basis(p)
-            for k in range(1, p.p_sq):
-                n_ops = len(jacobi_spectrum(p, k, q=q))
-                n_lat = 2 * class_line_count(p, q, k)
-                if n_ops != n_lat:
-                    return False, f"p={pp} k={k}: operator {n_ops} vs lattice {n_lat}"
-        return True, "operator counts match lattice counts"
-
-    def evans_symmetry():
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(20):
-            c = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2))
-            a = evans(c, 0.3, 0.4, disc_cfg)
-            b = evans(c.conjugate(), 0.3, 0.4, disc_cfg)
-            worst = max(worst, abs(a.conjugate() - b))
-        return worst < 1e-10, f"worst conjugation defect {worst:.2e}"
-
-    checks = [
-        ("closed form at c=0", closed_form_origin),
-        ("determinant vs monodromy", oracle_agreement),
-        ("slope formula", slope_formula),
-        ("operator vs lattice counts", jacobi_counts),
-        ("evans conjugation symmetry", evans_symmetry),
-    ]
-    if level == "full":
-        def sharpness_small():
-            for pp in ((1, 1), (1, 2), (2, 1), (1, 3)):
-                p = Wavevector(*pp)
-                report = euler_mod.spectrum_report(p, search, count_only=True)
-                if not report.sharp:
-                    return False, f"p={pp} not sharp"
-            return True, "sharp for all tested p"
-
-        def jacobi_pairing():
-            worst = 0.0
-            for pp in ((1, 1), (1, 2)):
-                p = Wavevector(*pp)
-                for k in range(1, p.p_sq):
-                    if 2 * class_line_count(p, companion_basis(p), k) == 0:
-                        continue
-                    rep = cross_validate(p, k, M=60, cfg=search)
-                    worst = max(worst, rep["max_pairing_distance"])
-            return worst < 1e-4, f"worst pairing distance {worst:.2e}"
-
-        checks.append(("sharpness at small p", sharpness_small))
-        checks.append(("operator vs evans pairing", jacobi_pairing))
-    return checks
-
-
 def cmd_verify(args) -> int:
+    tol = {} if args.integrator_tol is None else {"tol": args.integrator_tol}
     failures = 0
-    for name, fn in _verify_checks(args):
+    for check in checks.CHECKS:
+        if args.level not in check.inputs:
+            continue
         try:
-            ok, detail = fn()
+            ok, detail = check.run(args.level, args.search, **tol)
         except EulerHillError as exc:
             ok, detail = False, str(exc)
-        print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'ok' if ok else 'FAIL'}] {check.name}: {detail}")
         if not ok:
             failures += 1
     return 1 if failures else 0
@@ -398,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_spectrum)
 
     s = sub.add_parser("verify", help="cross-check the independent oracles")
-    s.add_argument("--level", choices=("quick", "full"), default="quick")
+    s.add_argument("--level", choices=checks.LEVELS, default="quick")
     s.set_defaults(fn=cmd_verify)
 
     return parser

@@ -1,4 +1,4 @@
-"""Joukowski change of spectral variable and the potential's Fourier data.
+"""Joukowski change of spectral variable c -> s and its limits at c = 0.
 
 The temporal parameter c and the disk variable s are linked by
 2c = s + 1/s; of the two roots we always keep the one inside the unit
@@ -11,7 +11,7 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BranchCutError, PotentialPoleError, SingularPotentialError
+from .errors import BranchCutError, SingularPotentialError
 
 #: Exact powers of i, indexed by exponent mod 4.
 I_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
@@ -84,21 +84,3 @@ def s_at_origin(side: Side) -> SpectralParam:
         raise BranchCutError("c = 0 requires an explicit side (UPPER or LOWER)")
     return SpectralParam(c=0.0 + 0.0j, s=s, kappa=0.0 + 0.0j, side=side)
 
-
-def fourier_coeff(sp: SpectralParam, k: int) -> complex:
-    """k-th Fourier coefficient of sin(eta)/(c + sin(eta)).
-
-    g_0 = 1 + kappa and g_k = kappa * i^k * s^|k| otherwise.
-    """
-    if k == 0:
-        return sp.g0
-    return sp.kappa * I_POW[k % 4] * sp.s ** abs(k)
-
-
-def potential(eta: float, c: complex) -> complex:
-    """Pointwise value of Q(eta) = sin(eta)/(c + sin(eta))."""
-    se = cmath.sin(eta)
-    den = c + se
-    if abs(den) < 1e-14 * max(1.0, abs(c)):
-        raise PotentialPoleError(f"potential pole at eta = {eta} for c = {c}")
-    return se / den

@@ -25,10 +25,6 @@ class SingularPotentialError(EulerHillError):
     """Potential is singular for this c (c = +-1 or too close to the cut)."""
 
 
-class PotentialPoleError(EulerHillError):
-    """Pointwise potential evaluation at a pole of sin(eta)/(c + sin(eta))."""
-
-
 class PoleProximityError(EulerHillError):
     """Direct Hill determinant evaluated too close to a pole Lambda = n^2."""
 
@@ -39,10 +35,6 @@ class ConvergenceError(EulerHillError):
 
 class ContourThroughRootError(EulerHillError):
     """A winding contour repeatedly passes through a zero."""
-
-
-class DegenerateParameterError(EulerHillError):
-    """Parameter value where the derivative formulas degenerate."""
 
 
 class EigenError(EulerHillError):

@@ -10,7 +10,6 @@ twice the number of nonzero lattice points inside the unstable disk.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -56,13 +55,8 @@ class SpectrumReport:
     notes: tuple
 
 
-def full_evans(p: Wavevector, lam: complex, cfg: DiscriminantConfig | None = None,
-               normalize: bool = False) -> complex:
-    """E_p(lambda) = prod_k E(i lambda / k; theta(k), d(k))^2.
-
-    With normalize=True each factor is divided by the modulus of its
-    limit at infinity, |2 cos(2 pi theta) - 2 cosh(2 pi d)|.
-    """
+def full_evans(p: Wavevector, lam: complex, cfg: DiscriminantConfig | None = None) -> complex:
+    """E_p(lambda) = prod_k E(i lambda / k; theta(k), d(k))^2."""
     q = companion_basis(p)
     lam = complex(lam)
     prod = 1.0 + 0.0j
@@ -75,11 +69,6 @@ def full_evans(p: Wavevector, lam: complex, cfg: DiscriminantConfig | None = Non
             raise BranchCutError(
                 f"factor k={k}: c = i*lambda/k = {c} is not evaluable: {exc}"
             ) from exc
-        if normalize:
-            limit = 2.0 * math.cos(2.0 * math.pi * cp.theta) - 2.0 * math.cosh(
-                2.0 * math.pi * cp.d
-            )
-            factor /= abs(limit)
         prod *= factor * factor
     return prod
 

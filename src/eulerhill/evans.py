@@ -30,7 +30,6 @@ from .errors import (
     BranchCutError,
     ContourThroughRootError,
     ConvergenceError,
-    DegenerateParameterError,
     OracleMismatchError,
 )
 from .hill import DiscriminantConfig, discriminant, discriminant_batch
@@ -42,7 +41,6 @@ __all__ = [
     "evans",
     "find_roots",
     "count_roots",
-    "derivative_checks",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -449,8 +447,10 @@ def count_roots(
 
     attempts = [cfg]
     if expected_region is not None:
-        # retry lower (floored away from the degraded endpoint zone), then wider
-        attempts.append(replace(cfg, eps_cut=max(cfg.eps_cut / 2.0, 5e-4),
+        # retry lower (floored away from the degraded endpoint zone, but
+        # never above the caller's eps_cut), then wider
+        eps_low = min(cfg.eps_cut, max(cfg.eps_cut / 2.0, 5e-4))
+        attempts.append(replace(cfg, eps_cut=eps_low,
                                 seed=cfg.seed + 1, max_evals=2 * cfg.max_evals))
         attempts.append(replace(cfg, c_max=2.0 * cfg.c_max,
                                 seed=cfg.seed + 2, max_evals=4 * cfg.max_evals))
@@ -471,71 +471,3 @@ def count_roots(
         f"{ROOT_COUNT_BY_REGION[expected_region]}"
     )
 
-
-def derivative_checks(d: float, side: Side, step: float = 1e-5,
-                      crossing: float = 1e-3) -> dict:
-    """Finite-difference checks of the origin derivative formulas.
-
-    Compares dE/dc and dE/dd at c = 0 against the closed forms, reports
-    the inward-crossing root speed |c(t)|/t on the unit circle, and the
-    (signed) normal derivative of E(0; theta, d) across the circle.
-    The closed forms imply root speed 2 (the value of E at inward
-    distance t is 2Rt while dE/dc = +-iR), so root_speed_ratio ~ 2.
-    """
-    sqrt3_2 = math.sqrt(3.0) / 2.0
-    for bad in (0.0, sqrt3_2, 1.0):
-        if abs(d - bad) < 1e-9:
-            raise DegenerateParameterError(f"d = {d} is a degenerate value")
-    if not 0.0 < d < 1.0:
-        raise DegenerateParameterError("need 0 < d < 1 off the degenerate set")
-
-    r = math.sqrt(1.0 - d * d)
-    R = 2.0 * math.pi * math.sin(TWO_PI * r) / r
-    theta0 = r  # point (theta0, d) sits on the circle theta^2 + d^2 = 1
-
-    sgn = 1.0 if side == Side.UPPER else -1.0
-    e0 = evans(0.0, theta0, d, side=side)
-    e_eps = evans(sgn * 1j * step, theta0, d)
-    fd_dc = (e_eps - e0) / (sgn * 1j * step)
-    dc_expected = 1j * R if side == Side.UPPER else -1j * R
-
-    ep = evans(0.0, theta0, d + step, side=side)
-    em = evans(0.0, theta0, d - step, side=side)
-    fd_dd = (ep - em) / (2.0 * step)
-    dd_expected = -2.0 * d * R
-
-    # outward normal derivative of E(0; .) on the circle
-    gp = evans(0.0, theta0 * (1.0 + step), d * (1.0 + step), side=side)
-    gm = evans(0.0, theta0 * (1.0 - step), d * (1.0 - step), side=side)
-    normal_fd = (gp - gm) / (2.0 * step)
-    normal_expected = -2.0 * R
-
-    # inward crossing: an imaginary pair is born with unit speed
-    t = crossing
-    th_t, d_t = theta0 * (1.0 - t), d * (1.0 - t)
-    lo, hi = 0.2 * t, 5.0 * t
-    glo = evans(1j * lo, th_t, d_t).real
-    ghi = evans(1j * hi, th_t, d_t).real
-    ratio = math.nan
-    if glo * ghi < 0:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm_ = evans(1j * mid, th_t, d_t).real
-            if glo * gm_ <= 0:
-                hi, ghi = mid, gm_
-            else:
-                lo, glo = mid, gm_
-        ratio = 0.5 * (lo + hi) / t
-
-    return {
-        "d": d,
-        "side": side,
-        "R": R,
-        "fd_dc": fd_dc,
-        "dc_expected": dc_expected,
-        "fd_dd": fd_dd,
-        "dd_expected": dd_expected,
-        "normal_fd": normal_fd,
-        "normal_expected": normal_expected,
-        "root_speed_ratio": ratio,
-    }

@@ -19,12 +19,15 @@ import numpy as np
 from .conformal import cut_distance
 from .errors import ConvergenceError, SingularPotentialError
 
-__all__ = ["MonodromyResult", "integrate_monodromy", "quasiperiodic_residual"]
+__all__ = ["MonodromyResult", "integrate_monodromy"]
 
 TWO_PI = 2.0 * math.pi
 # irrational-ish base-point offset, fixed so every ladder rung integrates
 # the same interval
 _TAU = TWO_PI * 1e-3 * 0.6180339887498949
+
+#: integrate_monodromy's default tolerance on successive traces
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ def _integrate(c: complex, mu: complex, n: int):
 def integrate_monodromy(
     c: complex,
     mu: complex,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     min_cut_distance: float = 1e-3,
     start_steps: int = 64,
     max_steps: int = 2**21,
@@ -119,8 +122,3 @@ def integrate_monodromy(
         f"monodromy trace did not converge to {tol} within {max_steps} steps"
     )
 
-
-def quasiperiodic_residual(c: complex, mu: complex, theta: float, **kwargs) -> complex:
-    """trace(M) - 2 cos(2 pi theta); zero iff (mu, theta) is in the spectrum."""
-    res = integrate_monodromy(c, mu, **kwargs)
-    return res.trace - 2.0 * math.cos(2.0 * math.pi * theta)

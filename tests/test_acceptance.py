@@ -8,6 +8,7 @@ import cmath
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -17,23 +18,19 @@ from eulerhill import (
     RegionTag,
     Side,
     Wavevector,
-    class_line_count,
     classify_rational,
-    companion_basis,
     count_roots,
-    cross_validate,
-    discriminant,
-    discriminant_slope_at_zero,
-    evans,
     find_roots,
     hill_determinant,
-    integrate_monodromy,
-    lattice_points_in_disk,
+    report_to_json,
     s_at_origin,
     s_of_c,
     spectrum_report,
 )
+from eulerhill import checks
+from eulerhill.evans import evans
 
+DATA = Path(__file__).parent / "data"
 N16 = DiscriminantConfig(half_width=16)
 
 
@@ -57,38 +54,17 @@ class Criterion:
 
 def test_criterion_01_closed_form_discriminant_at_origin():
     crit = Criterion(1, "closed-form discriminant at c=0", 5.0)
-    sp = s_at_origin(Side.UPPER)
-    worst = 0.0
-    for d in np.linspace(0.0, 1.0, 200):
-        ref = 2.0 * math.cos(2.0 * math.pi * math.sqrt(1.0 - d * d))
-        worst = max(worst, abs(discriminant(sp, d * d, N16) - ref))
-    crit.finish(worst <= 1e-9, f"max |Delta - 2cos(2 pi sqrt(1-d^2))| = {worst:.2e}")
+    crit.finish(*checks.closed_form_origin.run("full"))
 
 
 def test_criterion_02_oracle_agreement():
     crit = Criterion(2, "determinant vs integration on the 5x5 grid", 30.0)
-    worst = 0.0
-    for c in (2.0, 0.2j, 1j / math.sqrt(2.0), 0.1 + 0.2j, 0.5 + 0.7j):
-        sp = s_of_c(c)
-        for mu in (0.0, 0.09, 0.25, 0.5, 1.0):
-            tr = integrate_monodromy(c, mu, tol=1e-9).trace
-            worst = max(worst, abs(discriminant(sp, mu, N16) - tr))
-    crit.finish(worst <= 1e-6, f"worst |Delta_hill - trace| = {worst:.2e}")
+    crit.finish(*checks.oracle_agreement.run("full"))
 
 
 def test_criterion_03_slope_formula():
     crit = Criterion(3, "slope of the discriminant at mu = 0", 10.0)
-    h = 1e-5
-    worst_rel = 0.0
-    for c in (2.0, 3j, 0.5 + 0.7j):
-        sp = s_of_c(c)
-        fd = (discriminant(sp, h, N16) - discriminant(sp, -h, N16)) / (2.0 * h)
-        cl = discriminant_slope_at_zero(c)
-        worst_rel = max(worst_rel, abs(fd - cl) / abs(cl))
-    sp = s_of_c(1j / math.sqrt(2.0))
-    fd0 = (discriminant(sp, h, N16) - discriminant(sp, -h, N16)) / (2.0 * h)
-    ok = worst_rel <= 1e-5 and abs(fd0) <= 1e-7
-    crit.finish(ok, f"worst relative {worst_rel:.2e}, |slope at i/sqrt2| = {abs(fd0):.2e}")
+    crit.finish(*checks.slope_formula.run("full"))
 
 
 def test_criterion_04_three_by_three_truncation():
@@ -188,26 +164,16 @@ def test_criterion_07_region_count_law():
 
 def test_criterion_08_sharpness_small_p():
     crit = Criterion(8, "sharpness for all coprime p with p^2 <= 25", 600.0)
-    pairs = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3),
-             (3, 2), (1, 4), (4, 1), (3, 4), (4, 3), (1, -2)]
-    details = []
-    ok = True
-    for pp in pairs:
-        p = Wavevector(*pp)
-        report = spectrum_report(p, count_only=True)
-        details.append(f"{pp}:{report.total_count}")
-        ok = ok and report.sharp
-        if pp == (1, 1):
-            ok = ok and report.total_count == 8
-        if pp == (1, 2):
-            ok = ok and report.total_count == 24
-    crit.finish(ok, "; ".join(details))
+    crit.finish(*checks.sharpness.run("full"))
 
 
 def test_criterion_09_flagship_example():
     crit = Criterion(9, "p = (4,5) count-only report", 600.0)
     report = spectrum_report(Wavevector(4, 5), count_only=True)
     tallies = report.tallies
+    # the output of `eulerhill --format json spectrum --p 4,5 --count-only`
+    same_json = report_to_json(report) + "\n" == (
+        DATA / "spectrum_4_5_count_only.json").read_text()
     ok = (
         report.distinct_count == 128
         and report.lattice_count == 128
@@ -217,41 +183,18 @@ def test_criterion_09_flagship_example():
         and tallies["boundary_I_II"] == 1
         and tallies["boundary_0_I"] == 1
         and tallies["0"] == 1
+        and same_json
     )
     crit.finish(ok, f"distinct {report.distinct_count}, lattice "
-                    f"{report.lattice_count}, tallies {tallies}")
+                    f"{report.lattice_count}, tallies {tallies}, "
+                    f"JSON as committed: {same_json}")
 
 
 def test_criterion_10_jacobi_oracle_triangle():
     crit = Criterion(10, "operator/Evans pairing for p=(1,1),(1,2)", 300.0)
-    worst = 0.0
-    for pp, M in (((1, 1), 60), ((1, 2), 75)):
-        p = Wavevector(*pp)
-        for k in range(1, p.p_sq):
-            rep = cross_validate(p, k, M=M)
-            worst = max(worst, rep["max_pairing_distance"])
-    crit.finish(worst <= 1e-4, f"worst pairing distance {worst:.2e}")
+    crit.finish(*checks.jacobi_pairing.run("full"))
 
 
 def test_criterion_11_symmetry_suite():
     crit = Criterion(11, "symmetry suite", 30.0)
-    rng = np.random.default_rng(23)
-    worst_conj = 0.0
-    for _ in range(50):
-        c = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2))
-        a = evans(c, 0.27, 0.61, N16)
-        b = evans(c.conjugate(), 0.27, 0.61, N16)
-        worst_conj = max(worst_conj, abs(a.conjugate() - b))
-    worst_axis = 0.0
-    for beta in np.linspace(0.1, 1.5, 8):
-        worst_axis = max(worst_axis, abs(evans(1j * beta, 0.3, 0.5, N16).imag))
-    for x in np.linspace(1.1, 4.0, 8):
-        worst_axis = max(worst_axis, abs(evans(x, 0.3, 0.5, N16).imag))
-    tol = 1e-9
-    worst_det = 0.0
-    for c, mu in ((2.0, 0.3), (0.2j, 0.5), (0.4 + 0.6j, 0.8)):
-        res = integrate_monodromy(c, mu, tol=tol)
-        worst_det = max(worst_det, abs(res.det - 1.0))
-    ok = worst_conj <= 1e-10 and worst_axis <= 1e-9 and worst_det <= 10 * tol
-    crit.finish(ok, f"conj {worst_conj:.1e}, axis reality {worst_axis:.1e}, "
-                    f"Wronskian {worst_det:.1e}")
+    crit.finish(*checks.symmetries.run("full"))

@@ -56,13 +56,15 @@ def test_discriminant_imaginary_c_dips(capsys):
     assert min(vals) < 2.0
 
 
-def test_discriminant_on_cut_emits_nan(capsys):
-    code, out = run_cli(
-        ["discriminant", "--c", "0.5", "--points", "3"], capsys,
-    )
-    assert code == 0
-    for ln in out.strip().splitlines()[1:]:
-        assert ln.split(",")[1] == "nan"
+@pytest.mark.parametrize("command", ["discriminant", "contour-mu"])
+@pytest.mark.parametrize("c", ["0.5", "1"])
+def test_c_on_the_cut_is_a_usage_error(command, c, capsys):
+    code = main([command, "--c", c])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: c = ")
 
 
 def test_determinism_byte_identical(capsys):

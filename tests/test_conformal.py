@@ -1,4 +1,5 @@
-"""Joukowski map, branch bookkeeping, Fourier coefficients of the potential."""
+"""Joukowski map, branch bookkeeping, and the potential's Fourier coefficients
+as the Hill matrix holds them."""
 
 import cmath
 import math
@@ -8,15 +9,13 @@ import pytest
 
 from eulerhill import (
     BranchCutError,
-    PotentialPoleError,
     Side,
     SingularPotentialError,
     cut_distance,
-    fourier_coeff,
-    potential,
     s_at_origin,
     s_of_c,
 )
+from eulerhill.hill import _cleared_array
 
 
 def test_s_of_c_real_example():
@@ -90,24 +89,25 @@ def test_pure_imaginary_c_gives_real_kappa():
         assert -1.0 < sp.kappa.real <= 0.0
 
 
-def test_fourier_coeff_basics():
-    sp = s_of_c(2.0)
-    assert fourier_coeff(sp, 0) == sp.g0
-    assert abs(fourier_coeff(sp, 1) - sp.kappa * 1j * sp.s) < 1e-16
-    up = s_at_origin(Side.UPPER)
-    for k in (1, -1, 2, 5):
-        assert fourier_coeff(up, k) == 0
+def _coefficients(c, N):
+    """g_k, k = -N..N, of sin(eta)/(c + sin(eta)) as the Hill matrix holds them:
+    B_nm = g_{n-m} off its diagonal.  The diagonal holds Lambda - n^2, with
+    g_0 = 1 + kappa folded into Lambda, so g_0 is taken from sp."""
+    sp = s_of_c(c)
+    g = _cleared_array(sp, 0.0, N)[:, N]
+    g[N] = sp.g0
+    return g
 
 
 def test_fourier_coeff_against_fft():
     M = 512
     eta = 2.0 * math.pi * np.arange(M) / M
     for c in (2.0, 0.2j, 0.1 + 0.2j):
-        sp = s_of_c(c)
         Q = np.sin(eta) / (c + np.sin(eta))
         coef = np.fft.fft(Q) / M
+        g = _coefficients(c, 8)
         for k in range(-8, 9):
-            assert abs(coef[k % M] - fourier_coeff(sp, k)) < 1e-12, (c, k)
+            assert abs(coef[k % M] - g[k + 8]) < 1e-12, (c, k)
 
 
 def test_fourier_series_convergence():
@@ -116,10 +116,8 @@ def test_fourier_series_convergence():
     eta = 2.0 * math.pi * np.arange(64) / 64
     for c in (2.0, 0.2j, 0.1 + 0.2j):
         sp = s_of_c(c)
-        partial = np.zeros(64, dtype=complex)
-        for k in range(-K, K + 1):
-            partial += fourier_coeff(sp, k) * np.exp(1j * k * eta)
-        err = max(abs(partial[i] - potential(eta[i], c)) for i in range(64))
+        partial = _coefficients(c, K) @ np.exp(1j * np.outer(np.arange(-K, K + 1), eta))
+        err = np.max(np.abs(partial - np.sin(eta) / (c + np.sin(eta))))
         a = abs(sp.s)
         bound = 2.0 * abs(sp.kappa) * a ** (K + 1) / (1.0 - a)
         assert err <= 1.5 * bound + 1e-15, (c, err, bound)
@@ -128,24 +126,12 @@ def test_fourier_series_convergence():
 
 
 def test_conjugate_coefficient_relation():
-    # g_k at conj(s) is the conjugate of g_{-k} at s
-    sp = s_of_c(0.3 + 0.4j)
-    spc = s_of_c((0.3 + 0.4j).conjugate())
-    for k in (-3, -1, 1, 2, 4):
-        assert abs(fourier_coeff(spc, k) - fourier_coeff(sp, -k).conjugate()) < 1e-14
-
-
-def test_potential_values():
-    assert potential(0.0, 2.0) == 0.0
-    assert abs(potential(math.pi / 2.0, 2.0) - 1.0 / 3.0) < 1e-15
-    c = 50.0
-    for eta in np.linspace(0, 2 * math.pi, 17):
-        assert abs(potential(eta, c)) <= 1.0 / (abs(c) - 1.0) + 1e-15
-
-
-def test_potential_pole():
-    with pytest.raises(PotentialPoleError):
-        potential(-math.pi / 2.0, 1.0)  # sin = -1 = -c
+    # g_k at conj(c) is the conjugate of g_{-k} at c, so for real Lambda
+    # the Hill matrix at conj(c) is the conjugate transpose of the one at c
+    c, lam = 0.3 + 0.4j, 0.7
+    B = _cleared_array(s_of_c(c), lam, 4)
+    Bc = _cleared_array(s_of_c(c.conjugate()), lam, 4)
+    assert np.max(np.abs(Bc - B.conj().T)) < 1e-14
 
 
 def test_cut_distance():

@@ -30,7 +30,6 @@ def test_full_evans_nonzero_for_large_real_lambda():
     p = Wavevector(1, 2)
     for lam in (5.0, 12.0, 7.0 + 2.0j):
         assert abs(full_evans(p, lam)) > 1e-6
-        assert abs(full_evans(p, lam, normalize=True)) > 1e-6
 
 
 def test_full_evans_single_factor_roots():

@@ -1,7 +1,6 @@
 """Evans function values, analytic properties, and root machinery."""
 
 import cmath
-import importlib
 import math
 from fractions import Fraction
 
@@ -9,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from eulerhill import (
     BranchCutError,
     ConvergenceError,
-    DegenerateParameterError,
     DiscriminantConfig,
     OracleMismatchError,
     RegionTag,
@@ -24,12 +23,11 @@ from eulerhill import (
     classify_rational,
     companion_basis,
     count_roots,
-    derivative_checks,
-    evans,
     find_roots,
     s_of_c,
 )
-from eulerhill.evans import _edge_points
+import eulerhill.evans as evans_mod
+from eulerhill.evans import _edge_points, evans
 
 N16 = DiscriminantConfig(half_width=16)
 
@@ -156,31 +154,42 @@ def test_count_matches_exact_region_for_rational_points():
         assert n == ROOT_COUNT_BY_REGION[tag]
 
 
+def _normal_derivative(d, side, h=1e-5):
+    """Centred difference of E(0; theta, d) along the outward normal of the
+    circle theta^2 + d^2 = 1 at (sqrt(1 - d^2), d)."""
+    theta0 = math.sqrt(1.0 - d * d)
+    return (evans(0.0, theta0 * (1.0 + h), d * (1.0 + h), side=side)
+            - evans(0.0, theta0 * (1.0 - h), d * (1.0 - h), side=side)) / (2.0 * h)
+
+
 def test_derivative_checks_magnitudes():
-    for side in (Side.UPPER, Side.LOWER):
-        rep = derivative_checks(0.5, side)
-        R = rep["R"]
-        assert abs(R - 2.0 * math.pi * math.sin(2 * math.pi * math.sqrt(0.75))
-                   / math.sqrt(0.75)) < 1e-12
-        assert abs(rep["fd_dc"] - rep["dc_expected"]) < 1e-4 * max(1.0, abs(R))
-        assert abs(rep["fd_dd"] - rep["dd_expected"]) < 1e-4
-        assert abs(rep["normal_fd"] - rep["normal_expected"]) < 1e-4
-        # a pair of imaginary roots is born; speed 2 follows from the three
-        # derivative formulas checked above (E grows like 2Rt inward while
-        # dE/dc = +-iR, so beta = 2t)
-        assert abs(rep["root_speed_ratio"] - 2.0) < 0.05
+    """At (theta0, d) on the circle, with r = sqrt(1 - d^2) = theta0 and
+    R = 2 pi sin(2 pi r) / r: dE/dc = +-iR from either side of the cut,
+    dE/dd = -2dR and the outward normal derivative is -2R."""
+    d, h = 0.5, 1e-5
+    theta0 = math.sqrt(1.0 - d * d)
+    R = 2.0 * math.pi * math.sin(2.0 * math.pi * theta0) / theta0
+    for side, sgn in ((Side.UPPER, 1.0), (Side.LOWER, -1.0)):
+        e0 = evans(0.0, theta0, d, side=side)
+        fd_dc = (evans(sgn * 1j * h, theta0, d) - e0) / (sgn * 1j * h)
+        assert abs(fd_dc - sgn * 1j * R) < 1e-4 * max(1.0, abs(R))
+        fd_dd = (evans(0.0, theta0, d + h, side=side)
+                 - evans(0.0, theta0, d - h, side=side)) / (2.0 * h)
+        assert abs(fd_dd + 2.0 * d * R) < 1e-4
+        assert abs(_normal_derivative(d, side) + 2.0 * R) < 1e-4
+    # a pair of imaginary roots is born at inward distance t with speed 2,
+    # which follows from the formulas above (E grows like 2Rt inward while
+    # dE/dc = +-iR, so beta = 2t)
+    t = 1e-3
+    beta = brentq(lambda b: evans(1j * b, theta0 * (1.0 - t), d * (1.0 - t)).real,
+                  0.2 * t, 5.0 * t, xtol=1e-15)
+    assert abs(beta / t - 2.0) < 0.05
 
 
 def test_normal_derivative_sign_flip():
-    lo = derivative_checks(0.6, Side.UPPER)["normal_expected"]
-    hi = derivative_checks(0.95, Side.UPPER)["normal_expected"]
-    assert lo > 0.0 > hi  # positive below sqrt(3)/2, negative above
-
-
-def test_derivative_checks_degenerate_values():
-    for bad in (0.0, math.sqrt(3.0) / 2.0, 1.0):
-        with pytest.raises(DegenerateParameterError):
-            derivative_checks(bad, Side.UPPER)
+    # -2R changes sign at d = sqrt(3)/2: positive below, negative above
+    below, above = (_normal_derivative(d, Side.UPPER).real for d in (0.6, 0.95))
+    assert below > 0.0 > above
 
 
 def test_guard_pass_annulus_is_quiet():
@@ -194,7 +203,6 @@ def test_count_mismatch_raises_oracle_error():
 
 
 def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
-    evans_mod = importlib.import_module("eulerhill.evans")
     seen = []
 
     def fake_count_windings(f, trial, cache, budget, rng):
@@ -205,6 +213,23 @@ def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
     with pytest.raises(OracleMismatchError):
         count_roots(0.1, 0.6, RootSearchConfig(root_tol=1e-9), expected_region=RegionTag.REGION_I)
     assert seen == [1e-9, 1e-9, 1e-9]
+
+
+def test_count_roots_ladder_never_raises_eps_cut(monkeypatch):
+    seen = []
+
+    def fake_count_windings(f, trial, cache, budget, rng):
+        seen.append(trial.eps_cut)
+        return 0, 0, None  # misses region I on every rung
+
+    monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
+    for cfg, steps in ((RootSearchConfig(), [1e-3, 5e-4, 1e-3]),
+                       (RootSearchConfig(eps_cut=2e-4), [2e-4, 2e-4, 2e-4]),
+                       (RootSearchConfig(c_max=4e-4, eps_cut=2e-4), [2e-4, 2e-4, 2e-4])):
+        seen.clear()
+        with pytest.raises(OracleMismatchError):
+            count_roots(0.1, 0.6, cfg, expected_region=RegionTag.REGION_I)
+        assert seen == steps
 
 
 def test_find_roots_region_is_exact_at_d_zero():
@@ -221,7 +246,6 @@ def test_count_roots_budget_is_charged_per_distinct_point():
 
 
 def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
-    evans_mod = importlib.import_module("eulerhill.evans")
     real = evans_mod._evans_batch
     batches = []
 
@@ -241,7 +265,6 @@ def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
 
 
 def test_find_roots_evaluation_count(monkeypatch):
-    evans_mod = importlib.import_module("eulerhill.evans")
     budgets = []
 
     class Recorded(evans_mod._Budget):
@@ -270,7 +293,6 @@ def test_search_box_must_be_well_formed():
 
 
 def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypatch):
-    evans_mod = importlib.import_module("eulerhill.evans")
     real = evans_mod._newton
     sizes = []
 
@@ -299,7 +321,6 @@ def _classes(*ps):
 
 
 def test_strip_difference_equals_walking_box_b():
-    evans_mod = importlib.import_module("eulerhill.evans")
     cfg = RootSearchConfig()
     pad, c_max, eps = cfg.pad, cfg.c_max, cfg.eps_cut
     seen = set()

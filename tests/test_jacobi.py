@@ -8,12 +8,11 @@ import pytest
 from eulerhill import (
     ClassRangeError,
     Wavevector,
-    class_line_count,
-    companion_basis,
     cross_validate,
     jacobi_matrix,
     jacobi_spectrum,
 )
+from eulerhill import checks
 
 
 def test_matrix_structure_and_R_signs():
@@ -85,15 +84,8 @@ def test_hamiltonian_symmetry_of_spectrum():
 
 def test_counts_match_lattice_for_all_small_p():
     """Operator count equals twice the interior lattice points per class."""
-    pairs = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3),
-             (3, 2), (1, 4), (4, 1), (3, 4), (4, 3), (1, -2)]
-    for pp in pairs:
-        p = Wavevector(*pp)
-        q = companion_basis(p)
-        for k in range(1, p.p_sq):
-            n_op = len(jacobi_spectrum(p, k, q=q))
-            n_lat = 2 * class_line_count(p, q, k)
-            assert n_op == n_lat, (pp, k, n_op, n_lat)
+    ok, detail = checks.jacobi_counts.run("full")
+    assert ok, detail
 
 
 def test_cross_validate_examples():

@@ -11,7 +11,6 @@ from eulerhill import (
     SingularPotentialError,
     discriminant,
     integrate_monodromy,
-    quasiperiodic_residual,
     s_of_c,
 )
 
@@ -60,20 +59,24 @@ def test_trace_symmetries():
         assert abs(t.conjugate() - t_conj) < 1e-8
 
 
+def _residual(c, mu, theta, **kwargs):
+    """trace(M) - 2 cos(2 pi theta); zero iff (mu, theta) is in the spectrum."""
+    return integrate_monodromy(c, mu, **kwargs).trace - 2.0 * math.cos(2.0 * math.pi * theta)
+
+
 def test_residual_circle_limit():
     theta = 0.3
     mu = 1.0 - theta * theta
-    r = quasiperiodic_residual(1e-8j, mu, theta, tol=1e-7,
-                               min_cut_distance=0.0, start_steps=256)
+    r = _residual(1e-8j, mu, theta, tol=1e-7, min_cut_distance=0.0, start_steps=256)
     assert abs(r) <= 1e-5
 
 
 def test_residual_periodic_case():
-    assert abs(quasiperiodic_residual(2.0, 0.0, 0.0, tol=1e-10)) < 1e-9
+    assert abs(_residual(2.0, 0.0, 0.0, tol=1e-10)) < 1e-9
 
 
 def test_residual_nonzero_for_positive_mu():
-    assert abs(quasiperiodic_residual(2.0, 1.0, 0.25, tol=1e-9)) > 1.0
+    assert abs(_residual(2.0, 1.0, 0.25, tol=1e-9)) > 1.0
 
 
 def test_cut_guard_and_budget():
