@@ -329,7 +329,14 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except EulerHillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,24 @@
 """Direct integration oracle for Hill's equation g'' + Q g = mu g.
 
 Fully independent of the determinant machinery: classic fixed-step RK4
-on the 2x2 first-order system over one period, with the step count
-doubled until two successive traces agree.  The base point of the
-period is offset from 0 so that no integration node lands exactly on
-the zeros of sin(eta), where the potential has a boundary layer for c
-close to the cut; the trace is invariant under base-point shifts.
+on the first-order system (g, g')' = [[0, 1], [w, 0]] (g, g'), with
+w = mu - Q, over one period, with the step count doubled until two
+successive traces agree.
+
+The system is linear, so one RK4 step is a 2x2 matrix S whose entries
+are closed-form in h and in w at the step's two ends and midpoint, and
+the monodromy is the ordered product S[n-1] ... S[1] S[0].  Each block
+of _BLOCK steps is multiplied out as a pairwise tree of elementwise
+products, and the blocks are folded together in order, so the
+temporaries stay a few arrays of _BLOCK entries whatever n is.  The
+matrices are carried as S - I: a product of near-identity steps then
+rounds relative to h, not to 1, and the result stays within a few ulps
+of exact RK4 arithmetic.
+
+The base point of the period is offset from 0 so that no integration
+node lands exactly on the zeros of sin(eta), where the potential has a
+boundary layer for c close to the cut; the trace is invariant under
+base-point shifts.
 """
 
 from __future__ import annotations
@@ -28,6 +41,9 @@ _TAU = TWO_PI * 1e-3 * 0.6180339887498949
 
 #: integrate_monodromy's default tolerance on successive traces
 DEFAULT_TOL = 1e-9
+# steps per block of the step-matrix product: bounds its temporaries to a
+# few arrays of this length, whatever the step count
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -46,39 +62,43 @@ class MonodromyResult:
         return self.m11 * self.m22 - self.m12 * self.m21
 
 
+def _mul(later, earlier):
+    """later @ earlier - I, matrix by matrix, for stacks of 2x2 matrices
+    given as S - I with shape (2, 2, m)."""
+    return later + earlier + (later[:, :, None] * earlier[None]).sum(axis=1)
+
+
+def _ordered_product(e):
+    """S[m-1] ... S[1] S[0] - I for the m matrices of e, as a pairwise tree."""
+    while e.shape[2] > 1:
+        k = e.shape[2] - e.shape[2] % 2
+        pair = _mul(e[:, :, 1:k:2], e[:, :, :k:2])
+        if k < e.shape[2]:  # the odd last matrix moves up a level unpaired
+            pair = np.concatenate((pair, e[:, :, k:]), axis=2)
+        e = pair
+    return e
+
+
 def _integrate(c: complex, mu: complex, n: int):
-    """RK4 with n steps over [tau, tau + 2 pi]; returns the 2x2 monodromy."""
+    """RK4 with n steps over [tau, tau + 2 pi]; returns the 2x2 monodromy
+    (m11, m12, m21, m22) of the state (g, g')."""
     h = TWO_PI / n
-    eta = _TAU + 0.5 * h * np.arange(2 * n + 1)
-    sn = np.sin(eta)
-    w = mu - sn / (c + sn)  # g'' = w g
-    u1, u2 = 1.0 + 0.0j, 0.0 + 0.0j  # first row of the fundamental matrix
-    v1, v2 = 0.0 + 0.0j, 1.0 + 0.0j  # second row (derivatives)
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for i in range(n):
-        w0 = w[2 * i]
-        wh = w[2 * i + 1]
-        w1 = w[2 * i + 2]
-        a1u1 = v1; a1v1 = w0 * u1
-        a1u2 = v2; a1v2 = w0 * u2
-        b1 = u1 + h2 * a1u1; bv1 = v1 + h2 * a1v1
-        b2 = u2 + h2 * a1u2; bv2 = v2 + h2 * a1v2
-        a2u1 = bv1; a2v1 = wh * b1
-        a2u2 = bv2; a2v2 = wh * b2
-        c1 = u1 + h2 * a2u1; cv1 = v1 + h2 * a2v1
-        c2 = u2 + h2 * a2u2; cv2 = v2 + h2 * a2v2
-        a3u1 = cv1; a3v1 = wh * c1
-        a3u2 = cv2; a3v2 = wh * c2
-        d1 = u1 + h * a3u1; dv1 = v1 + h * a3v1
-        d2 = u2 + h * a3u2; dv2 = v2 + h * a3v2
-        a4u1 = dv1; a4v1 = w1 * d1
-        a4u2 = dv2; a4v2 = w1 * d2
-        u1 += h6 * (a1u1 + 2.0 * a2u1 + 2.0 * a3u1 + a4u1)
-        v1 += h6 * (a1v1 + 2.0 * a2v1 + 2.0 * a3v1 + a4v1)
-        u2 += h6 * (a1u2 + 2.0 * a2u2 + 2.0 * a3u2 + a4u2)
-        v2 += h6 * (a1v2 + 2.0 * a2v2 + 2.0 * a3v2 + a4v2)
-    return u1, u2, v1, v2
+    hh = h * h
+    total = np.zeros((2, 2, 1), complex)  # S - I of the empty product
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        sn = np.sin(_TAU + 0.5 * h * np.arange(2 * i0, 2 * i1 + 1))
+        w = mu - sn / (c + sn)  # g'' = w g at the step ends and midpoints
+        w0, wh, w1 = w[:-1:2], w[1::2], w[2::2]
+        s = w0 + w1
+        e = np.empty((2, 2, i1 - i0), complex)  # S - I of each step, closed form
+        e[0, 0] = hh * (w0 + 2.0 * wh) / 6.0 + hh * hh * w0 * wh / 24.0
+        e[0, 1] = h * (1.0 + hh * wh / 6.0)
+        e[1, 0] = h * (2.0 * s + 8.0 * wh + hh * wh * s) / 12.0
+        e[1, 1] = hh * (w1 + 2.0 * wh) / 6.0 + hh * hh * w1 * wh / 24.0
+        total = _mul(_ordered_product(e), total)
+    (m11, m12), (m21, m22) = total[:, :, 0]
+    return 1.0 + m11, m12, m21, 1.0 + m22
 
 
 def integrate_monodromy(

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eulerhill
 from eulerhill import DiscriminantConfig, discriminant, s_of_c
 from eulerhill.cli import main
 
@@ -153,6 +158,18 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "[ok]" in out
     assert "[FAIL]" not in out
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # unbuffered, so the line after the first meets the closed pipe in print
+    env = dict(os.environ, PYTHONPATH=str(Path(eulerhill.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "eulerhill.cli", "verify"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"[ok]")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err, err.decode()
 
 
 def test_usage_error_exit_code():
