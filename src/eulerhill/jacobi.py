@@ -8,6 +8,18 @@ spectrum returned here is scaled by k p^2 / 2 (the sign is immaterial:
 the spectrum is symmetric under lambda -> -lambda).  The scale is fixed
 by deriving the class block of the vorticity equation in Fourier space
 and is confirmed numerically by the Evans-function and monodromy routes.
+
+The recursion matrix L is tridiagonal with a zero diagonal, so it is
+2-cyclic: with the modes split into even and odd positions,
+L = [[0, B], [C, 0]], B = L[0::2, 1::2] and C = L[1::2, 0::2].  If
+C B u = nu u, then lambda = +-sqrt(nu) are eigenvalues of L with the
+eigenvector v = [B u / lambda ; u] (even entries B u / lambda, odd
+entries u); the remaining eigenvalue of L is 0.  The spectrum is thus
+the eigenvalues of one matrix of side M instead of 2M + 1, with an
+eigenvector u only for each kept nu, by one inverse-iteration solve, and
+every lifted pair is still checked against L itself.  A real nu comes
+back with imaginary part exactly 0, so a negative nu gives a lambda
+with real part exactly 0 and never passes the |Re lambda| > tol cut.
 """
 
 from __future__ import annotations
@@ -16,11 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClassRangeError, EigenError, OracleMismatchError
+from .errors import ClassRangeError, ConvergenceError, EigenError, OracleMismatchError
 from .evans import RootSearchConfig, find_roots
 from .lattice import CompanionBasis, Wavevector, class_point, companion_basis, representative
 
 __all__ = ["JacobiTruncation", "jacobi_matrix", "jacobi_spectrum", "cross_validate"]
+
+#: largest half-width cross_validate tries when it picks M itself
+MAX_HALF_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -64,24 +79,66 @@ def jacobi_spectrum(p: Wavevector, k: int, M: int | None = None,
                     q: CompanionBasis | None = None) -> np.ndarray:
     """Temporal eigenvalues of the truncated class operator, |Re| > tol.
 
-    Eigenpairs of the recursion matrix must satisfy the residual contract
-    ||L v - lam v|| <= residual_tol ||v||; the returned values carry the
-    k p^2 / 2 advection scale.
+    Solved on the even/odd half C B (module docstring); each lifted
+    eigenpair must satisfy the residual contract
+    ||L v - lam v|| <= residual_tol ||v|| for the full matrix L.  The
+    returned values carry the k p^2 / 2 advection scale.
     """
-    trunc = jacobi_matrix(p, k, M, q=q)
-    try:
-        vals, vecs = np.linalg.eig(trunc.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigenError("dense eigensolver failed") from exc
+    L = jacobi_matrix(p, k, M, q=q).matrix
+    B, C = L[0::2, 1::2], L[1::2, 0::2]
+    CB = C @ B
+    n = CB.shape[0]
     scale = 0.5 * k * p.p_sq
-    keep = np.abs(vals.real) * scale > tol
-    for idx in np.nonzero(keep)[0]:
-        v = vecs[:, idx]
-        res = np.linalg.norm(trunc.matrix @ v - vals[idx] * v)
-        if res > residual_tol * np.linalg.norm(v):
-            raise EigenError(f"eigenpair residual {res:.2e} breaks the contract")
-    lams = scale * vals[keep]
+    try:
+        nus = np.linalg.eigvals(CB).astype(complex)
+        roots = np.sqrt(nus)
+        keep = np.abs(roots.real) * scale > tol
+        # one inverse-iteration solve per kept nu, started from a ramp:
+        # the rows of L sum to zero away from the ends, so ones is nearly
+        # orthogonal to every left eigenvector and would be a poor start
+        shifted = CB - nus[keep, None, None] * np.eye(n)
+        ramp = np.broadcast_to(np.arange(1.0, n + 1)[:, None], (len(shifted), n, 1))
+        us = np.linalg.solve(shifted, ramp)[..., 0].T
+    except np.linalg.LinAlgError as exc:
+        raise EigenError("eigensolver failed") from exc
+    vals = np.concatenate([roots[keep], -roots[keep]])
+    u = np.tile(us, 2)
+    v = np.empty((L.shape[0], vals.size), dtype=complex)
+    v[0::2] = B @ u / vals
+    v[1::2] = u
+    res = np.linalg.norm(L @ v - vals * v, axis=0) / np.linalg.norm(v, axis=0)
+    if np.any(res > residual_tol):
+        raise EigenError(f"eigenpair residual {res.max():.2e} breaks the contract")
+    lams = scale * vals
     return lams[np.lexsort((lams.imag, lams.real))]
+
+
+def _nearest_distances(a, b) -> list:
+    """Distance from each value of a, in order, to its nearest unused value
+    of b; b must be at least as long as a."""
+    unused = list(b)
+    dists = []
+    for x in a:
+        i = min(range(len(unused)), key=lambda i: abs(x - unused[i]))
+        dists.append(abs(x - unused.pop(i)))
+    return dists
+
+
+def _settled_spectrum(p: Wavevector, k: int, q: CompanionBasis, tol: float) -> np.ndarray:
+    """jacobi_spectrum at the first M = 4 p^2 * 2^n whose kept spectrum has
+    the count of the one at M / 2 and lies within tol of it."""
+    M = 4 * p.p_sq
+    prev = jacobi_spectrum(p, k, M, q=q)
+    while 2 * M <= MAX_HALF_WIDTH:
+        M *= 2
+        lams = jacobi_spectrum(p, k, M, q=q)
+        if len(lams) == len(prev) and max(_nearest_distances(lams, prev), default=0.0) <= tol:
+            return lams
+        prev = lams
+    raise ConvergenceError(
+        f"class k={k} of p=({p.p1},{p.p2}): Jacobi spectrum not settled "
+        f"by half-width M={M}"
+    )
 
 
 def cross_validate(p: Wavevector, k: int, M: int | None = None,
@@ -90,12 +147,18 @@ def cross_validate(p: Wavevector, k: int, M: int | None = None,
     """Match truncated-operator eigenvalues against Evans roots.
 
     Each Evans root c of the class (theta(k), d(k)) corresponds to the
-    temporal eigenvalue lambda = -i*k*c.  Raises OracleMismatchError when
-    counts differ or some eigenvalue has no partner within pair_tol.
+    temporal eigenvalue lambda = -i*k*c.  Without M, the half-width
+    doubles from 4 p^2 until two successive spectra agree within
+    pair_tol / 10 (ConvergenceError past MAX_HALF_WIDTH).  Raises
+    OracleMismatchError when counts differ or some eigenvalue has no
+    partner within pair_tol.
     """
     q = companion_basis(p)
     cp = class_point(p, q, k)
-    lams_j = list(jacobi_spectrum(p, k, M, q=q))
+    if M is None:
+        lams_j = list(_settled_spectrum(p, k, q, pair_tol / 10))
+    else:
+        lams_j = list(jacobi_spectrum(p, k, M, q=q))
     rs = find_roots(cp.theta, cp.d, cfg)
     lams_e = []
     for c, m in rs.roots:
@@ -105,28 +168,17 @@ def cross_validate(p: Wavevector, k: int, M: int | None = None,
             f"class k={k} of p=({p.p1},{p.p2}): operator gives {len(lams_j)} "
             f"unstable eigenvalues, Evans function gives {len(lams_e)}"
         )
-    used = [False] * len(lams_e)
-    worst = 0.0
-    for lj in lams_j:
-        best, best_i = None, None
-        for i, le in enumerate(lams_e):
-            if used[i]:
-                continue
-            dist = abs(lj - le)
-            if best is None or dist < best:
-                best, best_i = dist, i
-        if best is None or best > pair_tol:
+    dists = _nearest_distances(lams_j, lams_e)
+    for lj, dist in zip(lams_j, dists):
+        if dist > pair_tol:
             raise OracleMismatchError(
-                f"eigenvalue {lj} unmatched within {pair_tol} "
-                f"(nearest {best})"
+                f"eigenvalue {lj} unmatched within {pair_tol} (nearest {dist})"
             )
-        used[best_i] = True
-        worst = max(worst, best)
     return {
         "p": (p.p1, p.p2),
         "k": k,
         "count": len(lams_j),
         "lambdas_operator": lams_j,
         "lambdas_evans": lams_e,
-        "max_pairing_distance": worst,
+        "max_pairing_distance": max(dists, default=0.0),
     }

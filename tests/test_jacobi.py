@@ -7,12 +7,28 @@ import pytest
 
 from eulerhill import (
     ClassRangeError,
+    EigenError,
     Wavevector,
+    companion_basis,
     cross_validate,
     jacobi_matrix,
     jacobi_spectrum,
 )
 from eulerhill import checks
+
+
+def _dense_spectrum(p, k, M, q, tol=1e-6, residual_tol=1e-8):
+    """Reference: the kept eigenvalues of one dense eig of the full
+    (2M+1)-square recursion matrix, under the same cut and contract."""
+    L = jacobi_matrix(p, k, M, q=q).matrix
+    vals, vecs = np.linalg.eig(L)
+    scale = 0.5 * k * p.p_sq
+    keep = np.abs(vals.real) * scale > tol
+    for idx in np.nonzero(keep)[0]:
+        v = vecs[:, idx]
+        assert np.linalg.norm(L @ v - vals[idx] * v) <= residual_tol * np.linalg.norm(v)
+    lams = scale * vals[keep]
+    return lams[np.lexsort((lams.imag, lams.real))]
 
 
 def test_matrix_structure_and_R_signs():
@@ -43,6 +59,29 @@ def test_spectrum_counts_examples():
     assert len(jacobi_spectrum(Wavevector(1, 1), 1, M=40)) == 4
     assert len(jacobi_spectrum(Wavevector(1, 2), 1, M=40)) == 4
     assert len(jacobi_spectrum(Wavevector(4, 5), 40, M=170)) == 0
+
+
+@pytest.mark.parametrize("pp, M", [((1, 2), None), ((2, 3), None), ((3, 4), None),
+                                   ((5, 4), 100), ((4, -5), 100)], ids=str)
+def test_half_size_spectrum_matches_dense_reference(pp, M):
+    """The even/odd reduction keeps the counts and values of the dense route."""
+    p = Wavevector(*pp)
+    q = companion_basis(p)
+    for k in range(1, p.p_sq):
+        ref = _dense_spectrum(p, k, M, q)
+        got = jacobi_spectrum(p, k, M, q=q)
+        assert len(got) == len(ref), (pp, k)
+        if len(ref):
+            assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(ref))) <= 1e-10, (pp, k)
+
+
+def test_residual_contract_checks_the_lifted_pairs():
+    """Each lifted eigenpair is checked against the full matrix: a zero
+    residual budget fails, the default one passes."""
+    p = Wavevector(1, 2)
+    with pytest.raises(EigenError):
+        jacobi_spectrum(p, 1, M=40, residual_tol=0.0)
+    assert len(jacobi_spectrum(p, 1, M=40)) == 4
 
 
 def test_range_errors():
@@ -100,3 +139,11 @@ def test_cross_validate_examples():
     rep = cross_validate(Wavevector(4, 5), 9, M=170)
     assert rep["count"] == 2
     assert rep["max_pairing_distance"] <= 1e-4
+
+
+def test_cross_validate_default_half_width_settles():
+    """Without M the near-axis class k=4 of p=(1,2), whose eigenvalue is
+    still 9e-3 off at M = 4 p^2 = 20, pairs with its Evans root."""
+    rep = cross_validate(Wavevector(1, 2), 4)
+    assert rep["count"] == 2
+    assert rep["max_pairing_distance"] <= 1e-5
