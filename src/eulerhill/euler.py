@@ -93,7 +93,7 @@ def spectrum_report(p: Wavevector, cfg: RootSearchConfig | None = None,
                 roots_c: tuple = ()
                 roots_lam: tuple = ()
             else:
-                rs = find_roots(cp.theta, cp.d, cfg)
+                rs = find_roots(cp.theta, cp.d, cfg, expected_region=cp.region)
                 count = rs.count
                 roots_c = rs.roots
                 roots_lam = tuple((-1j * k * c, m) for c, m in rs.roots)

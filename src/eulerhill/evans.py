@@ -2,9 +2,11 @@
 
 E(c; theta, d) = 2 cos(2 pi theta) - Delta(d^2; c) vanishes exactly at
 the isolated eigenvalues c of the class with parameters (theta, d).
-Roots in the closed first quadrant are located by argument-principle
-winding numbers over rectangles with recursive subdivision, then
-polished by damped Newton iteration.
+Roots in the closed first quadrant are counted by argument-principle
+winding numbers over rectangles.  Their positions come from the contour
+moments of the count's own walk around the search box (Delves and
+Lyness 1967; Kravanja and Van Barel, LNM 1727, 2000), which seed damped
+Newton iteration at no extra evaluation; no rectangle is subdivided.
 
 Contour geometry: the cut [-1, 1] is avoided by keeping Im c >= eps_cut;
 boundary sampling is graded (fine near the cut shadow and near the
@@ -48,12 +50,11 @@ TWO_PI = 2.0 * math.pi
 
 # Fixed search settings: the half-width of the axis strip and the axis
 # snap tolerance as fractions of c_max, the Newton steps per root, the
-# subdivision depth, the jittered retries of a contour that hits a zero,
-# and the samples at which a winding walk stops refining.
+# jittered retries of a contour that hits a zero, and the samples at
+# which a winding walk stops refining.
 _AXIS_PAD = 0.0171
 _SNAP_TOL = 1e-8
 _NEWTON_STEPS = 80
-_MAX_DEPTH = 48
 _RETRIES = 6
 _MAX_PTS = 20000
 
@@ -63,9 +64,10 @@ class RootSearchConfig:
     """Geometry, tolerances and budgets for the winding-number search.
 
     The search box is (-pad, c_max) x (eps_cut, c_max), and a guard box
-    reaching 4 c_max always checks that no root lies beyond it.  Fixed,
-    not settable: _AXIS_PAD, _SNAP_TOL, _NEWTON_STEPS, _MAX_DEPTH,
-    _RETRIES and _MAX_PTS.
+    reaching 4 c_max always checks that no root lies beyond it.  Roots
+    are seeded from the contour moments of the search box's walk, not
+    isolated by subdividing it, so there is no depth limit.  Fixed, not
+    settable: _AXIS_PAD, _SNAP_TOL, _NEWTON_STEPS, _RETRIES and _MAX_PTS.
     """
 
     c_max: float = 2.0
@@ -182,7 +184,9 @@ def _winding(f, rect, cache, budget):
     samples are evaluated in one call, then each refinement pass's
     midpoints in one more.  Argument increments are refined until each is
     below pi/2; a sample falling on a zero (or a non-integer total)
-    raises _ContourHit so the caller can jitter the rectangle.
+    raises _ContourHit so the caller can jitter the rectangle.  Returns
+    the winding and the final walk (points, values), closed by repeating
+    its first point.
     """
     x0, x1, y0, y1 = rect
 
@@ -220,16 +224,19 @@ def _winding(f, rect, cache, budget):
     w = total / TWO_PI
     if abs(w - round(w)) > 0.25:
         raise _ContourHit(f"non-integer winding {w:.3f}")
-    return int(round(w))
+    return int(round(w)), (pts, vals)
 
 
 def _winding_retry(f, rect, cache, budget, rng):
-    """Winding with outward jitter of the rectangle on contour hits."""
+    """Winding with outward jitter of the rectangle on contour hits.
+
+    Returns (winding, walk, rectangle actually walked).
+    """
     x0, x1, y0, y1 = rect
     last = None
     for attempt in range(_RETRIES + 1):
         try:
-            return _winding(f, (x0, x1, y0, y1), cache, budget), (x0, x1, y0, y1)
+            return (*_winding(f, (x0, x1, y0, y1), cache, budget), (x0, x1, y0, y1))
         except _ContourHit as hit:
             last = hit
             dx = (x1 - x0) * 1e-3 * (1.0 + rng.random())
@@ -292,80 +299,76 @@ def _count_windings(f, cfg, cache, budget, rng):
     left of that line shares A's left edge and most of its bottom edge,
     and w_B = w_A - w_S.  A contour hit on S moves only the dividing
     line, so S and B still partition A.  Returns (w_A, w_B, box A after
-    any jitter).
+    any jitter, box A's final walk).
     """
     pad = cfg.pad
-    wa, box_a = _winding_retry(f, (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max),
-                               cache, budget, rng)
+    wa, walk, box_a = _winding_retry(f, (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max),
+                                     cache, budget, rng)
     x0, _, y0, y1 = box_a
     for attempt in range(_RETRIES + 1):
         xm = pad if attempt == 0 else pad * (1.0 + (rng.random() - 0.5) * 0.2)
         try:
-            ws = _winding(f, (x0, xm, y0, y1), cache, budget)
+            ws, _ = _winding(f, (x0, xm, y0, y1), cache, budget)
             break
         except _ContourHit as hit:
             last = hit
     else:
         raise ContourThroughRootError(f"strip winding failed after jitter retries: {last}")
     big = (x0, 4.0 * cfg.c_max, y0, 4.0 * cfg.c_max)
-    wg, _ = _winding_retry(f, big, cache, budget, rng)
+    wg, _, _ = _winding_retry(f, big, cache, budget, rng)
     if wg != wa:
         raise ConvergenceError(
             f"winding {wg - wa} detected in the guard annulus "
             f"[{cfg.c_max}, {4 * cfg.c_max}]; enlarge c_max"
         )
-    return wa, wa - ws, box_a
+    return wa, wa - ws, box_a, walk
 
 
-def _subdivide(f, rect, w, cfg, cache, budget, rng, out, depth=0):
-    """Recursively isolate w zeros inside rect into unit-winding cells."""
-    if w == 0:
-        return
-    x0, x1, y0, y1 = rect
-    wide = max(x1 - x0, y1 - y0)
-    if w == 1 and wide <= 0.1 * cfg.c_max:
-        out.append((rect, 1))
-        return
-    if wide <= 1e-6 * cfg.c_max:
-        out.append((rect, w))  # unresolved cluster: multiple root
-        return
-    if depth > _MAX_DEPTH:
-        raise ConvergenceError("subdivision depth exhausted")
-    for attempt in range(_RETRIES + 1):
-        jit = 0.0 if attempt == 0 else (rng.random() - 0.5) * 0.2
-        try:
-            if (x1 - x0) >= (y1 - y0):
-                xm = 0.5 * (x0 + x1) + jit * (x1 - x0)
-                w1 = _winding(f, (x0, xm, y0, y1), cache, budget)
-                w2 = _winding(f, (xm, x1, y0, y1), cache, budget)
-                if w1 + w2 != w:
-                    raise _ContourHit("children windings disagree with parent")
-                _subdivide(f, (x0, xm, y0, y1), w1, cfg, cache, budget, rng, out, depth + 1)
-                _subdivide(f, (xm, x1, y0, y1), w2, cfg, cache, budget, rng, out, depth + 1)
-            else:
-                ym = 0.5 * (y0 + y1) + jit * (y1 - y0)
-                w1 = _winding(f, (x0, x1, y0, ym), cache, budget)
-                w2 = _winding(f, (x0, x1, ym, y1), cache, budget)
-                if w1 + w2 != w:
-                    raise _ContourHit("children windings disagree with parent")
-                _subdivide(f, (x0, x1, y0, ym), w1, cfg, cache, budget, rng, out, depth + 1)
-                _subdivide(f, (x0, x1, ym, y1), w2, cfg, cache, budget, rng, out, depth + 1)
-            return
-        except _ContourHit:
-            continue
-    raise ContourThroughRootError(f"could not split cell {rect}")
+def _moment_seeds(pts, vals, w):
+    """Estimates of the w zeros inside a closed walk, from its contour moments.
+
+    The moments s_k = (1/2 pi i) oint z^k E'/E dz are sums of the k-th
+    powers of the zeros (Delves and Lyness, Math. Comp. 21, 1967).  With
+    log E unwrapped along the walk, integration by parts gives
+    s_k = z0^k w - (k / 2 pi i) oint z^(k-1) log E dz, taken here by the
+    trapezoid rule on the walk's own samples, so no new evaluation is
+    needed.  Newton's identities turn s_1 .. s_w into the polynomial
+    whose roots are the estimates: s_1 itself for one zero, and for two
+    the roots of t^2 - s_1 t + (s_1^2 - s_2) / 2.
+    """
+    z = np.array(pts)
+    v = np.array(vals)
+    logs = np.log(v[0]) + np.concatenate(([0.0], np.cumsum(np.log(v[1:] / v[:-1]))))
+    dz = np.diff(z)
+    e = [1.0]
+    s = []
+    for k in range(1, w + 1):
+        g = z ** (k - 1) * logs
+        s.append(z[0] ** k * w - k * np.dot(0.5 * (g[1:] + g[:-1]), dz) / (2j * math.pi))
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
+    return [complex(t) for t in np.roots([(-1) ** k * ek for k, ek in enumerate(e)])]
 
 
-def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> EvansRootSet:
+def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
+               expected_region: RegionTag | None = None) -> EvansRootSet:
     """All roots of E in the closed first quadrant, with symmetry closure.
 
-    Roots within snap tolerance of the imaginary axis are snapped onto
-    it; the returned tuple contains the full four-quadrant set obtained
-    by closing under c -> -c and c -> conj(c).
+    The windings must give the count of expected_region (the exact tag
+    of rational class data; by default the exact region of the float
+    data), or OracleMismatchError is raised before any Newton step.  The
+    w_A roots in box A are then polished by Newton from the estimates of
+    _moment_seeds on box A's final walk.  Each converged root is folded
+    into the closed first quadrant, which the symmetries c -> -c and
+    c -> conj(c) allow, and snapped onto the imaginary axis within snap
+    tolerance.  The distinct folded roots must lie in box A and hold
+    w_A zeros of it, a root with 0 < Re z < pad counting twice as its
+    mirror -conj(z) is in box A too; otherwise ConvergenceError.
+    The returned tuple is the full four-quadrant set.
     """
     cfg = cfg or DEFAULT_SEARCH
     if d < 0:
         raise ValueError("d must be nonnegative")
+    region = expected_region or classify_rational(Fraction(theta), Fraction(d))
     disc_cfg = cfg.disc
     f = lambda c: evans(c, theta, d, disc_cfg)
     fs = lambda cs: _evans_batch(cs, theta, d, disc_cfg)
@@ -373,49 +376,46 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
     budget = _Budget(cfg.max_evals)
     rng = np.random.default_rng(cfg.seed)
 
-    wa, wb, box_a = _count_windings(fs, cfg, cache, budget, rng)
+    wa, wb, box_a, walk = _count_windings(fs, cfg, cache, budget, rng)
     total = 2 * (wa + wb)
+    if total != ROOT_COUNT_BY_REGION[region]:
+        raise OracleMismatchError(
+            f"find_roots found {total} eigenvalues at (theta={theta}, d={d}) in box A "
+            f"{box_a} with eps_cut={cfg.eps_cut}, but region {region.value} predicts "
+            f"{ROOT_COUNT_BY_REGION[region]}"
+        )
 
-    cells: list = []
-    _subdivide(fs, box_a, wa, cfg, cache, budget, rng, cells)
-
+    seeds = _moment_seeds(*walk, wa)
     snap = _SNAP_TOL * cfg.c_max
-    q1: list = []
-    for rect, w in cells:
-        cx = 0.5 * (rect[0] + rect[1])
-        cy = 0.5 * (rect[2] + rect[3])
-        if w == 1:
-            z, res = _newton(f, fs, complex(cx, cy), cfg, budget)
-            if res > cfg.root_tol:
-                raise ConvergenceError(
-                    f"Newton stalled at |E| = {res:.2e} near {complex(cx, cy):.4f}"
-                )
-            q1.append((z, 1))
-        else:
-            q1.append((complex(cx, cy), w))
+    found: list = []
+    for seed in seeds:
+        z, res = _newton(f, fs, seed, cfg, budget)
+        if res > cfg.root_tol:
+            raise ConvergenceError(
+                f"Newton stalled at |E| = {res:.2e} near {z:.4f} from the moment seed "
+                f"{seed:.4f} of box A {box_a} at (theta={theta}, d={d})"
+            )
+        z = complex(abs(z.real) if abs(z.real) > snap else 0.0, abs(z.imag))
+        if all(abs(z - u) > snap for u in found):
+            found.append(z)
 
-    # canonicalize: mirrors found inside the axis pad are dropped, near-axis
-    # roots snapped exactly onto the axis
-    cleaned = []
-    for z, m in q1:
-        if z.real < -snap:
-            continue  # mirror of an interior root with small positive real part
-        if abs(z.real) <= snap:
-            z = complex(0.0, z.imag)
-        cleaned.append((z, m))
-
-    check = sum((2 if z.real == 0 else 4) * m for z, m in cleaned)
+    x0, x1, y0, y1 = box_a
+    held = sum(2 if 0.0 < z.real < -x0 else 1 for z in found)
+    if held != wa or not all(z.real <= x1 and y0 <= z.imag <= y1 for z in found):
+        raise ConvergenceError(
+            f"Newton from the moment seeds {seeds} at (theta={theta}, d={d}) reached "
+            f"{found}, not the {wa} roots of box A {box_a}"
+        )
+    check = sum(2 if z.real == 0 else 4 for z in found)
     if check != total:
         raise ConvergenceError(
             f"isolated roots account for {check} eigenvalues, windings say {total}"
         )
 
     closure: dict = {}
-    for z, m in cleaned:
-        family = {z, -z, z.conjugate(), -z.conjugate()}
-        for w_ in family:
-            key = (round(w_.real, 12), round(w_.imag, 12))
-            closure[key] = (w_, m)
+    for z in found:
+        for w_ in {z, -z, z.conjugate(), -z.conjugate()}:
+            closure[(round(w_.real, 12), round(w_.imag, 12))] = (w_, 1)
     roots = tuple(
         sorted(closure.values(), key=lambda zm: (-zm[0].imag, zm[0].real))
     )
@@ -423,7 +423,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None) -> E
         theta=theta,
         d=d,
         roots=roots,
-        region_predicted=classify_rational(Fraction(theta), Fraction(d)),
+        region_predicted=region,
         box=box_a,
         winding_total=total,
     )
@@ -459,7 +459,7 @@ def count_roots(
         cache: dict = {}
         budget = _Budget(trial.max_evals)
         rng = np.random.default_rng(trial.seed)
-        wa, wb, _ = _count_windings(fs, trial, cache, budget, rng)
+        wa, wb, _, _ = _count_windings(fs, trial, cache, budget, rng)
         count = 2 * (wa + wb)
         if expected_region is None:
             return count

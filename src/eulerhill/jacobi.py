@@ -159,7 +159,7 @@ def cross_validate(p: Wavevector, k: int, M: int | None = None,
         lams_j = list(_settled_spectrum(p, k, q, pair_tol / 10))
     else:
         lams_j = list(jacobi_spectrum(p, k, M, q=q))
-    rs = find_roots(cp.theta, cp.d, cfg)
+    rs = find_roots(cp.theta, cp.d, cfg, expected_region=cp.region)
     lams_e = []
     for c, m in rs.roots:
         lams_e.extend([-1j * k * c] * m)

@@ -135,6 +135,16 @@ def test_evans_roots_json(capsys):
         assert r["re"] == 0.0
 
 
+def test_evans_roots_wrong_count_exits_1(capsys):
+    # region II predicts 4 roots; the windings at the default eps_cut give 2
+    code = main(["evans-roots", "--theta", "0.1329", "--d", "0.4975"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_spectrum_json(capsys):
     code, out = run_cli(
         ["--format", "json", "spectrum", "--p", "1,2", "--count-only"], capsys,

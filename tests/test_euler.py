@@ -1,6 +1,7 @@
 """Product Evans function and the spectrum report."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,3 +130,15 @@ def test_report_dict_roots_serializable():
     assert len(roots) == 4
     for entry in roots:
         assert set(entry) == {"re", "im", "multiplicity"}
+
+
+def test_flagship_spectrum_with_roots_matches_count_only_report():
+    # every class of p = (4,5) solves, and without its roots the report is
+    # the committed count-only one
+    report = report_to_dict(spectrum_report(Wavevector(4, 5)))
+    for cls in report["classes"]:
+        assert sum(r["multiplicity"] for r in cls["roots_c"]) == cls["count"]
+        assert len(cls["roots_lambda"]) == len(cls["roots_c"])
+        cls["roots_c"] = cls["roots_lambda"] = []
+    golden = Path(__file__).parent / "data" / "spectrum_4_5_count_only.json"
+    assert report == json.loads(golden.read_text())

@@ -23,6 +23,7 @@ from eulerhill import (
     classify_rational,
     companion_basis,
     count_roots,
+    cross_validate,
     find_roots,
     s_of_c,
 )
@@ -207,7 +208,7 @@ def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
 
     def fake_count_windings(f, trial, cache, budget, rng):
         seen.append(trial.root_tol)
-        return 0, 0, None  # misses region I on every rung
+        return 0, 0, None, None  # misses region I on every rung
 
     monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
     with pytest.raises(OracleMismatchError):
@@ -220,7 +221,7 @@ def test_count_roots_ladder_never_raises_eps_cut(monkeypatch):
 
     def fake_count_windings(f, trial, cache, budget, rng):
         seen.append(trial.eps_cut)
-        return 0, 0, None  # misses region I on every rung
+        return 0, 0, None, None  # misses region I on every rung
 
     monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
     for cfg, steps in ((RootSearchConfig(), [1e-3, 5e-4, 1e-3]),
@@ -275,7 +276,77 @@ def test_find_roots_evaluation_count(monkeypatch):
     monkeypatch.setattr(evans_mod, "_Budget", Recorded)
     rs = find_roots(0.4, 0.6)
     assert rs.count == 4
-    assert [b.used for b in budgets] == [728]
+    assert [b.used for b in budgets] == [432]
+
+
+@pytest.mark.parametrize("zeros", [(0.3 + 0.4j,), (0.3 + 0.4j, -0.2 + 0.7j),
+                                   (0.3 + 0.4j, -0.2 + 0.7j, 0.5j)])
+def test_moment_seeds_recover_the_zeros_of_a_polynomial(zeros):
+    # the trapezoid rule on the walk's chords is second order in the spacing
+    pts = [0.1 + 0.5j + np.exp(2j * math.pi * t) for t in np.linspace(0.0, 1.0, 401)]
+    pts[-1] = pts[0]
+    vals = [np.prod([z - a for a in zeros]) for z in pts]
+    seeds = evans_mod._moment_seeds(pts, vals, len(zeros))
+    assert len(seeds) == len(zeros)
+    for a in zeros:
+        assert min(abs(a - s) for s in seeds) < 1e-3
+
+
+def test_find_roots_raises_on_a_count_its_region_contradicts(monkeypatch):
+    # a region II class (4 roots) whose count at the default eps_cut is 2
+    def no_newton(*args):
+        raise AssertionError("Newton ran after a wrong count")
+
+    monkeypatch.setattr(evans_mod, "_newton", no_newton)
+    with pytest.raises(OracleMismatchError, match=r"theta=0\.1329, d=0\.4975.*eps_cut=0\.001"):
+        find_roots(0.1329, 0.4975)
+
+
+def test_find_roots_takes_the_exact_region_of_class_data():
+    # (1,2) k = 3 lies on the inner circle exactly, in region II as floats
+    p = Wavevector(1, 2)
+    cp = class_point(p, companion_basis(p), 3)
+    assert cp.region == RegionTag.BOUNDARY_I_II
+    with pytest.raises(OracleMismatchError):
+        find_roots(cp.theta, cp.d)
+    rs = find_roots(cp.theta, cp.d, expected_region=cp.region)
+    assert rs.count == 2 and rs.region_predicted == RegionTag.BOUNDARY_I_II
+
+
+@pytest.mark.parametrize("k", [1, 34])
+def test_find_roots_pairs_with_the_operator_on_hard_classes(k):
+    # k = 1: a root next to c = 1, far above eps_cut, that no unit-winding
+    # cell split could isolate; k = 34: a root inside the axis pad, whose
+    # mirror -conj(z) is in box A too
+    assert cross_validate(Wavevector(4, 5), k, M=400, pair_tol=1e-6)["count"] == 4
+
+
+def test_root_and_its_mirror_inside_the_axis_pad():
+    p = Wavevector(4, 5)
+    cp = class_point(p, companion_basis(p), 34)
+    rs = find_roots(cp.theta, cp.d, expected_region=cp.region)
+    assert len(rs.roots) == 4
+    assert all(0.0 < abs(c.real) < RootSearchConfig().pad for c, _ in rs.roots)
+
+
+# first-quadrant roots of off-lattice draws, as recursive subdivision found
+# them: two axis roots near the cut and box A's left edge, and a quadruplet
+# inside the axis pad
+_SUBDIVISION_ROOTS = {
+    (0.468677236012843, 0.840254661394404): (0.02723676122491559j, 0.01609368025377249j),
+    (0.46101549965040167, 0.8287792764551445): (0.013723488942897322 + 0.03111912558422645j,),
+}
+
+
+@pytest.mark.parametrize("theta, d", list(_SUBDIVISION_ROOTS))
+def test_find_roots_near_the_axis_and_the_cut(theta, d):
+    rs = find_roots(theta, d)
+    want = {w for z in _SUBDIVISION_ROOTS[(theta, d)]
+            for w in (z, -z, z.conjugate(), -z.conjugate())}
+    assert rs.count == 4 and len(rs.roots) == len(want)
+    for c, m in rs.roots:
+        assert m == 1
+        assert min(abs(c - w) for w in want) < 1e-7
 
 
 def test_search_box_must_be_well_formed():
@@ -327,11 +398,11 @@ def test_strip_difference_equals_walking_box_b():
     for theta, d in _classes(Wavevector(1, 2), Wavevector(2, 3)) + [(0.4, 0.6)]:
         def fs(cs):
             return evans_mod._evans_batch(cs, theta, d, cfg.disc)
-        wa, wb, box_a = evans_mod._count_windings(
+        wa, wb, box_a, _ = evans_mod._count_windings(
             fs, cfg, {}, evans_mod._Budget(cfg.max_evals), np.random.default_rng(cfg.seed))
         assert box_a == (-pad, c_max, eps, c_max)  # not jittered: B is the fixed box
-        direct = evans_mod._winding(fs, (pad, c_max, eps, c_max), {},
-                                    evans_mod._Budget(cfg.max_evals))
+        direct, _ = evans_mod._winding(fs, (pad, c_max, eps, c_max), {},
+                                       evans_mod._Budget(cfg.max_evals))
         assert wb == direct, (theta, d, wa, wb, direct)
         seen.add(direct)
     assert seen == {0, 1}  # the quadruplet at (0.4, 0.6) has its root in B
