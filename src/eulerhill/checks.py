@@ -17,10 +17,10 @@ import numpy as np
 
 from .conformal import Side, s_at_origin, s_of_c
 from .euler import spectrum_report
-from .evans import DEFAULT_SEARCH, RootSearchConfig, evans
+from .evans import DEFAULT_SEARCH, RootSearchConfig, _Budget, _evans_batch, _winding_retry, evans
 from .hill import discriminant, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
-from .lattice import Wavevector, class_line_count, companion_basis
+from .lattice import Wavevector, class_line_count, class_point, companion_basis
 from .monodromy import DEFAULT_TOL, integrate_monodromy
 
 LEVELS = ("quick", "full")
@@ -155,6 +155,38 @@ def jacobi_pairing(search, tol, cases):
     return worst <= 1e-4, f"worst pairing distance {worst:.2e}"
 
 
+def annulus_windings(fs, search: RootSearchConfig) -> tuple:
+    """Windings of fs over the two bands (x0, 4 c_max) x (c_max, 4 c_max)
+    and (c_max, 4 c_max) x (eps_cut, c_max), which with the search box
+    (x0, c_max) x (eps_cut, c_max), x0 = -pad, tile (x0, 4 c_max) x
+    (eps_cut, 4 c_max); fs is a list evaluator as in evans._winding."""
+    c, x0, y0 = search.c_max, -search.pad, search.eps_cut
+    cache: dict = {}
+    budget = _Budget(search.max_evals)
+    rng = np.random.default_rng(search.seed)
+    return tuple(_winding_retry(fs, band, cache, budget, rng)[0]
+                 for band in ((x0, 4 * c, c, 4 * c), (c, 4 * c, y0, c)))
+
+
+@_check("no roots beyond the search box", full=dict(ps=SMALL_P))
+def beyond_the_box(search, tol, ps):
+    """Winding 0 on both annulus bands beyond the search box, per class:
+    Howard's bound |c| <= 1 (evans module docstring), which lets the
+    root search skip this walk, checked by the walk itself."""
+    n = 0
+    for pp in ps:
+        p = Wavevector(*pp)
+        q = companion_basis(p)
+        for k in range(1, p.p_sq):
+            cp = class_point(p, q, k)
+            ws = annulus_windings(lambda cs: _evans_batch(cs, cp.theta, cp.d, search.disc),
+                                  search)
+            if any(ws):
+                return False, f"p={pp} k={k}: annulus windings {ws}"
+            n += 1
+    return True, f"winding 0 on both bands for all {n} classes"
+
+
 #: every check, in the order `eulerhill verify` prints them
 CHECKS = (closed_form_origin, oracle_agreement, slope_formula, jacobi_counts,
-          symmetries, sharpness, jacobi_pairing)
+          symmetries, sharpness, jacobi_pairing, beyond_the_box)

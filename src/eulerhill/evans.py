@@ -15,7 +15,23 @@ and a coarse boundary walk can alias away their phase winding.  The fine
 samples lie on a lattice fixed by the edge's line, so rectangles that
 share an edge, or part of one, share those samples through the cache;
 the right-of-axis box is counted as a difference of windings rather
-than walked.
+than walked.  Since theta and d are real, E(-conj c) = conj E(c), so a
+walk evaluates each sample left of the imaginary axis as the conjugate
+of its mirror twin's value, and each mirror pair costs one evaluation.
+
+No search beyond |c| = 1 is needed (Howard, J. Fluid Mech. 10, 1961,
+509-512).  The class equation g'' + sin(eta) / (c + sin(eta)) g = d^2 g
+is Rayleigh's equation for the shear U = -sin(eta) with wave number
+alpha = d.  For Im c != 0 put g = (U - c) F; then
+((U - c)^2 F')' = alpha^2 (U - c)^2 F.  Multiply by conj(F) and
+integrate over one period.  The solution is theta-quasi-periodic,
+g(eta + 2 pi) = exp(2 pi i theta) g(eta), and so is F, because U is
+periodic; with theta real the boundary term conj(F) (U - c)^2 F' is
+then periodic and cancels, leaving the integral of (U - c)^2 Q = 0
+with Q = |F'|^2 + alpha^2 |F|^2 >= 0.  Its imaginary and real parts
+give the integrals of U Q and U^2 Q as Re c and |c|^2 times that of Q,
+and 0 >= integral of (U + 1)(U - 1) Q turns into |c|^2 <= 1.  Every
+root off the real axis therefore lies in the closed unit disk.
 """
 
 from __future__ import annotations
@@ -63,11 +79,14 @@ _MAX_PTS = 20000
 class RootSearchConfig:
     """Geometry, tolerances and budgets for the winding-number search.
 
-    The search box is (-pad, c_max) x (eps_cut, c_max), and a guard box
-    reaching 4 c_max always checks that no root lies beyond it.  Roots
-    are seeded from the contour moments of the search box's walk, not
-    isolated by subdividing it, so there is no depth limit.  Fixed, not
-    settable: _AXIS_PAD, _SNAP_TOL, _NEWTON_STEPS, _RETRIES and _MAX_PTS.
+    The search box is (-pad, c_max) x (eps_cut, c_max).  Every root off
+    the real axis has |c| <= 1 (Howard's semicircle theorem, in the
+    module docstring), so c_max must exceed 1 and then no root lies
+    beyond the box; `eulerhill verify --level full` walks the annulus
+    out to 4 c_max to check that.  Roots are seeded from the contour
+    moments of the search box's walk, not isolated by subdividing it,
+    so there is no depth limit.  Fixed, not settable: _AXIS_PAD,
+    _SNAP_TOL, _NEWTON_STEPS, _RETRIES and _MAX_PTS.
     """
 
     c_max: float = 2.0
@@ -78,8 +97,9 @@ class RootSearchConfig:
     seed: int = 20250810
 
     def __post_init__(self):
-        if not self.c_max > 0.0:
-            raise ValueError(f"c_max must be positive, got {self.c_max}")
+        if not self.c_max > 1.0:
+            raise ValueError(
+                f"c_max must exceed 1, the bound on |c| of every root, got {self.c_max}")
         if not 0.0 < self.eps_cut < self.c_max:
             raise ValueError(
                 f"eps_cut must lie in (0, c_max = {self.c_max}), got {self.eps_cut}"
@@ -180,22 +200,25 @@ def _edge_points(a: complex, b: complex):
 def _winding(f, rect, cache, budget):
     """Winding number of f over the rectangle boundary, counterclockwise.
 
-    f maps a list of points to an array of values.  The uncached boundary
-    samples are evaluated in one call, then each refinement pass's
-    midpoints in one more.  Argument increments are refined until each is
-    below pi/2; a sample falling on a zero (or a non-integer total)
-    raises _ContourHit so the caller can jitter the rectangle.  Returns
-    the winding and the final walk (points, values), closed by repeating
-    its first point.
+    f maps a list of points to an array of values and obeys
+    f(-conj z) = conj f(z), so a point left of the imaginary axis is
+    evaluated as its mirror twin -conj z, cached under the twin.  The
+    uncached twins of the boundary samples are evaluated in one call,
+    then those of each refinement pass's midpoints in one more.
+    Argument increments are refined until each is below pi/2; a sample
+    falling on a zero (or a non-integer total) raises _ContourHit so the
+    caller can jitter the rectangle.  Returns the winding and the final
+    walk (points, values), closed by repeating its first point.
     """
     x0, x1, y0, y1 = rect
 
     def F(zs):
-        new = [z for z in dict.fromkeys(zs) if z not in cache]
+        twins = [-z.conjugate() if z.real < 0 else z for z in zs]
+        new = [t for t in dict.fromkeys(twins) if t not in cache]
         if new:
             budget.spend(len(new))
             cache.update(zip(new, f(new)))
-        vals = [cache[z] for z in zs]
+        vals = [cache[t].conjugate() if z.real < 0 else cache[t] for z, t in zip(zs, twins)]
         for z, v in zip(zs, vals):
             if abs(v) < 1e-13:
                 raise _ContourHit(z)
@@ -295,11 +318,16 @@ class EvansRootSet:
 def _count_windings(f, cfg, cache, budget, rng):
     """Windings of box A = (-pad, c_max) x (eps_cut, c_max) and of box B.
 
-    Box B is the part of A right of x = pad.  It is not walked: S = A
-    left of that line shares A's left edge and most of its bottom edge,
-    and w_B = w_A - w_S.  A contour hit on S moves only the dividing
-    line, so S and B still partition A.  Returns (w_A, w_B, box A after
-    any jitter, box A's final walk).
+    Box A holds every root of the closed first quadrant above eps_cut:
+    by Howard's semicircle theorem (module docstring) every root has
+    |c| <= 1 < c_max, so nothing beyond the box is walked.  Box B is the
+    part of A right of x = pad.  It is not walked: S = A left of that
+    line shares A's left edge and most of its bottom edge, and
+    w_B = w_A - w_S.  S's right edge x = pad mirrors A's left edge, and
+    A's bottom-edge samples on (-pad, 0) mirror those on (0, pad), so
+    _winding evaluates each of those pairs once.  A contour hit on S
+    moves only the dividing line, so S and B still partition A.  Returns
+    (w_A, w_B, box A after any jitter, box A's final walk).
     """
     pad = cfg.pad
     wa, walk, box_a = _winding_retry(f, (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max),
@@ -314,13 +342,6 @@ def _count_windings(f, cfg, cache, budget, rng):
             last = hit
     else:
         raise ContourThroughRootError(f"strip winding failed after jitter retries: {last}")
-    big = (x0, 4.0 * cfg.c_max, y0, 4.0 * cfg.c_max)
-    wg, _, _ = _winding_retry(f, big, cache, budget, rng)
-    if wg != wa:
-        raise ConvergenceError(
-            f"winding {wg - wa} detected in the guard annulus "
-            f"[{cfg.c_max}, {4 * cfg.c_max}]; enlarge c_max"
-        )
     return wa, wa - ws, box_a, walk
 
 
@@ -448,12 +469,10 @@ def count_roots(
     attempts = [cfg]
     if expected_region is not None:
         # retry lower (floored away from the degraded endpoint zone, but
-        # never above the caller's eps_cut), then wider
+        # never above the caller's eps_cut)
         eps_low = min(cfg.eps_cut, max(cfg.eps_cut / 2.0, 5e-4))
         attempts.append(replace(cfg, eps_cut=eps_low,
                                 seed=cfg.seed + 1, max_evals=2 * cfg.max_evals))
-        attempts.append(replace(cfg, c_max=2.0 * cfg.c_max,
-                                seed=cfg.seed + 2, max_evals=4 * cfg.max_evals))
     count = None
     for trial in attempts:
         cache: dict = {}

@@ -198,3 +198,8 @@ def test_criterion_10_jacobi_oracle_triangle():
 def test_criterion_11_symmetry_suite():
     crit = Criterion(11, "symmetry suite", 30.0)
     crit.finish(*checks.symmetries.run("full"))
+
+
+def test_criterion_12_no_roots_beyond_the_search_box():
+    crit = Criterion(12, "annulus beyond the search box root-free for p^2 <= 25", 60.0)
+    crit.finish(*checks.beyond_the_box.run("full"))

@@ -230,6 +230,9 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     ([], {"fmt": "xml"}, "fmt"),
     ([], {"normalize": True}, "normalize"),
     ([], "{not json", "EULERHILL_DEFAULTS"),
+    # every root has |c| <= 1, so the search box must reach beyond it
+    (["--c-max", "1"], None, "c_max"),
+    ([], {"c_max": 0.9}, "c_max"),
 ])
 def test_bad_settings_exit_2(flags, file_values, name, tmp_path, capsys, monkeypatch):
     if file_values is not None:

@@ -27,6 +27,7 @@ from eulerhill import (
     find_roots,
     s_of_c,
 )
+from eulerhill import checks
 import eulerhill.evans as evans_mod
 from eulerhill.evans import _edge_points, evans
 
@@ -194,7 +195,18 @@ def test_normal_derivative_sign_flip():
 
 
 def test_guard_pass_annulus_is_quiet():
-    assert count_roots(0.1, 0.6) == 2
+    # the annulus beyond the search box, walked by `verify --level full`,
+    # holds no root of (0.1, 0.6); a root planted there shows
+    cfg = RootSearchConfig()
+
+    def fs(cs):
+        return evans_mod._evans_batch(cs, 0.1, 0.6, cfg.disc)
+
+    def planted(cs):  # a mirror pair of zeros at +-2.5 + 1j, in the right band
+        return [v * (c - 2.5 - 1j) * (c + 2.5 - 1j) for c, v in zip(cs, fs(cs))]
+
+    assert checks.annulus_windings(fs, cfg) == (0, 0)
+    assert checks.annulus_windings(planted, cfg) == (0, 1)
 
 
 def test_count_mismatch_raises_oracle_error():
@@ -213,7 +225,7 @@ def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
     monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
     with pytest.raises(OracleMismatchError):
         count_roots(0.1, 0.6, RootSearchConfig(root_tol=1e-9), expected_region=RegionTag.REGION_I)
-    assert seen == [1e-9, 1e-9, 1e-9]
+    assert seen == [1e-9, 1e-9]
 
 
 def test_count_roots_ladder_never_raises_eps_cut(monkeypatch):
@@ -224,13 +236,15 @@ def test_count_roots_ladder_never_raises_eps_cut(monkeypatch):
         return 0, 0, None, None  # misses region I on every rung
 
     monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
-    for cfg, steps in ((RootSearchConfig(), [1e-3, 5e-4, 1e-3]),
-                       (RootSearchConfig(eps_cut=2e-4), [2e-4, 2e-4, 2e-4]),
-                       (RootSearchConfig(c_max=4e-4, eps_cut=2e-4), [2e-4, 2e-4, 2e-4])):
+    for cfg, steps in ((RootSearchConfig(), [1e-3, 5e-4]),
+                       (RootSearchConfig(eps_cut=2e-4), [2e-4, 2e-4])):
         seen.clear()
         with pytest.raises(OracleMismatchError):
             count_roots(0.1, 0.6, cfg, expected_region=RegionTag.REGION_I)
         assert seen == steps
+    # a box inside the unit disk is refused before any rung
+    with pytest.raises(ValueError, match="^c_max "):
+        RootSearchConfig(c_max=4e-4, eps_cut=2e-4)
 
 
 def test_find_roots_region_is_exact_at_d_zero():
@@ -240,10 +254,11 @@ def test_find_roots_region_is_exact_at_d_zero():
 
 
 def test_count_roots_budget_is_charged_per_distinct_point():
-    # count_roots(0.2, 0.6) evaluates 425 distinct contour points
+    # count_roots(0.2, 0.6) evaluates 343 distinct contour points, a point
+    # left of the axis and its mirror twin counting once
     with pytest.raises(ConvergenceError):
-        count_roots(0.2, 0.6, RootSearchConfig(max_evals=424))
-    assert count_roots(0.2, 0.6, RootSearchConfig(max_evals=425)) == 2
+        count_roots(0.2, 0.6, RootSearchConfig(max_evals=342))
+    assert count_roots(0.2, 0.6, RootSearchConfig(max_evals=343)) == 2
 
 
 def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
@@ -259,10 +274,11 @@ def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
 
     monkeypatch.setattr(evans_mod, "_evans_batch", zero_at_one_point)
     assert count_roots(0.4, 0.6) == 4
-    corner = batches[0][0]
-    assert corner == complex(-RootSearchConfig().pad, RootSearchConfig().eps_cut)
-    assert corner not in batches[1]  # the retry walks a jittered rectangle
-    assert batches[1][0].real < corner.real and batches[1][0].imag < corner.imag
+    # the first corner (-pad, eps_cut) is evaluated as its twin (pad, eps_cut)
+    twin = batches[0][0]
+    assert twin == complex(RootSearchConfig().pad, RootSearchConfig().eps_cut)
+    assert twin not in batches[1]  # the retry walks a jittered rectangle
+    assert batches[1][0].real > twin.real and batches[1][0].imag < twin.imag
 
 
 def test_find_roots_evaluation_count(monkeypatch):
@@ -276,7 +292,40 @@ def test_find_roots_evaluation_count(monkeypatch):
     monkeypatch.setattr(evans_mod, "_Budget", Recorded)
     rs = find_roots(0.4, 0.6)
     assert rs.count == 4
-    assert [b.used for b in budgets] == [432]
+    assert [b.used for b in budgets] == [351]
+
+
+def test_unjittered_count_evaluates_no_point_left_of_the_axis(monkeypatch):
+    real = evans_mod._evans_batch
+    seen = []
+
+    def spy(cs, theta, d, cfg=None):
+        seen.extend(cs)
+        return real(cs, theta, d, cfg)
+
+    monkeypatch.setattr(evans_mod, "_evans_batch", spy)
+    assert count_roots(0.4, 0.6) == 4
+    assert seen and min(c.real for c in seen) >= 0.0
+
+
+def test_every_root_lies_in_the_unit_disk():
+    # Howard's semicircle theorem, the reason no walk goes beyond c_max
+    classes = [(cp.theta, cp.d, cp.region) for pp in ((1, 2), (2, 3), (1, 3))
+               for cp in _class_points(Wavevector(*pp))]
+    # off-lattice draws 5 eps_cut or more from the three unit circles (and
+    # off d -> 0, where the roots also approach the cut), so that no root
+    # lies below eps_cut
+    rng = np.random.default_rng(5)
+    margin = 5 * RootSearchConfig().eps_cut
+    draws = []
+    while len(draws) < 20:
+        theta, d = rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.2)
+        if min(abs(math.hypot(theta + l, d) - 1.0) for l in (-1, 0, 1)) >= margin:
+            draws.append((theta, d, None))
+    roots = [c for theta, d, region in classes + draws
+             for c, _ in find_roots(theta, d, expected_region=region).roots]
+    assert len(roots) > 100
+    assert max(abs(c) for c in roots) <= 1.0
 
 
 @pytest.mark.parametrize("zeros", [(0.3 + 0.4j,), (0.3 + 0.4j, -0.2 + 0.7j),
@@ -356,11 +405,13 @@ def test_search_box_must_be_well_formed():
                       (dict(c_max=math.nan), "c_max"), (dict(eps_cut=5.0), "eps_cut"),
                       (dict(eps_cut=2.0), "eps_cut"), (dict(eps_cut=-0.01), "eps_cut"),
                       (dict(eps_cut=0.0), "eps_cut"), (dict(eps_cut=math.nan), "eps_cut"),
-                      (dict(c_max=0.5, eps_cut=0.5), "eps_cut"),
+                      (dict(c_max=1.0), "c_max"), (dict(c_max=0.5), "c_max"),
+                      (dict(c_max=1.5, eps_cut=1.5), "eps_cut"),
                       (dict(root_tol=0.0), "root_tol"), (dict(root_tol=-1.0), "root_tol")):
         with pytest.raises(ValueError, match=f"^{name} "):
             RootSearchConfig(**bad)
     assert RootSearchConfig().pad == 0.0171 * 2.0
+    assert RootSearchConfig(c_max=1.05).c_max == 1.05
 
 
 def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypatch):
@@ -383,12 +434,13 @@ def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypa
     assert find_roots(0.4, 0.6).roots == batched
 
 
+def _class_points(p):
+    q = companion_basis(p)
+    return [class_point(p, q, k) for k in range(1, p.p_sq)]
+
+
 def _classes(*ps):
-    out = []
-    for p in ps:
-        q = companion_basis(p)
-        out += [class_point(p, q, k) for k in range(1, p.p_sq)]
-    return [(cp.theta, cp.d) for cp in out]
+    return [(cp.theta, cp.d) for p in ps for cp in _class_points(p)]
 
 
 def test_strip_difference_equals_walking_box_b():
@@ -413,13 +465,14 @@ def _rect_edges(x0, x1, y0, y1):
     return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
 
 
-# the edges of box A, the strip and the guard box on the count_roots ladder
+# the edges of box A and the strip on the count_roots ladder, and of the
+# annulus bands that `verify --level full` walks
 _COUNT_EDGES = [
     edge
-    for eps, c_max in ((1e-3, 2.0), (5e-4, 2.0), (1e-3, 4.0))
+    for eps, c_max in ((1e-3, 2.0), (5e-4, 2.0))
     for pad in (0.0171 * c_max,)
     for rect in ((-pad, c_max, eps, c_max), (-pad, pad, eps, c_max),
-                 (-pad, 4 * c_max, eps, 4 * c_max))
+                 (-pad, 4 * c_max, c_max, 4 * c_max), (c_max, 4 * c_max, eps, c_max))
     for edge in _rect_edges(*rect)
 ]
 
@@ -483,3 +536,24 @@ def test_edge_points_depend_only_on_the_edge(edge, u):
     if horizontal and abs(level) <= 2e-3 and coarse >= h:
         # next to the cut ends the samples stay h/2 away from x = +-1
         assert all(abs(abs(t) - 1.0) >= 0.5 * h - 1e-12 for t in ts[1:-1])
+
+
+def _search_edge_points():
+    # box A and the strip on both count_roots rungs, their bottom edges
+    # next to the cut
+    cfg = RootSearchConfig()
+    pad, c_max = cfg.pad, cfg.c_max
+    return sorted({z for eps in (cfg.eps_cut, 5e-4)
+                   for rect in ((-pad, c_max, eps, c_max), (-pad, pad, eps, c_max))
+                   for a, b in _rect_edges(*rect) for z in _edge_points(a, b)},
+                  key=lambda z: (z.real, z.imag))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(c=st.sampled_from(_search_edge_points()), theta=st.floats(-0.5, 0.5),
+       mu=st.floats(0.0, 1.0))
+def test_mirror_twin_value_is_the_conjugate(c, theta, mu):
+    d = math.sqrt(mu)
+    here = evans_mod._evans_batch([c], theta, d)[0]
+    twin = evans_mod._evans_batch([-c.conjugate()], theta, d)[0]
+    assert abs(twin - here.conjugate()) <= 1e-13 * abs(here), (c, theta, mu, here, twin)

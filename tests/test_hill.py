@@ -277,11 +277,19 @@ def test_batch_mixed_half_widths_empty_and_repeated():
 
 
 def test_phase_margin_at_the_cut_ends():
-    # count_roots samples x = 1 -+ 0.002 next to the cut ends; the winding
-    # needs only the phase, which stays within 0.05 rad of RK4 there
-    # (measured 0.015 and 0.016; relative errors 0.062 and 0.017)
-    for c, mu in ((0.998 + 0.001j, 0.36), (1.002 + 0.001j, 0.16)):
+    for c, mu, phase, rel in (
+        # count_roots samples x = 1 -+ 0.002 next to the cut ends; the
+        # winding needs only the phase (measured 0.015 and 0.016 rad;
+        # relative errors 0.062 and 0.017)
+        (0.998 + 0.001j, 0.36, 0.05, 0.1),
+        (1.002 + 0.001j, 0.16, 0.05, 0.1),
+        # closer to the cut end, where the walk's refinement midpoints
+        # reach, the error grows (measured 0.069 and 0.156 rad; relative
+        # 0.118 and 0.160)
+        (0.999 + 0.001j, 0.36, 0.2, 0.2),
+        (0.9995 + 0.001j, 0.36, 0.2, 0.2),
+    ):
         val = discriminant_batch([s_of_c(c)], mu)[0]
         tr = integrate_monodromy(c, mu, tol=1e-11 * max(1.0, abs(val))).trace
-        assert abs(cmath.phase(val / tr)) <= 0.05, (c, mu, val, tr)
-        assert abs(val - tr) <= 0.1 * abs(tr), (c, mu, val, tr)
+        assert abs(cmath.phase(val / tr)) <= phase, (c, mu, val, tr)
+        assert abs(val - tr) <= rel * abs(tr), (c, mu, val, tr)
