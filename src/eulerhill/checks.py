@@ -17,7 +17,8 @@ import numpy as np
 
 from .conformal import Side, s_at_origin, s_of_c
 from .euler import spectrum_report
-from .evans import DEFAULT_SEARCH, RootSearchConfig, _Budget, _evans_batch, _winding_retry, evans
+from .evans import (DEFAULT_SEARCH, _MAX_EVALS, _SEED, RootSearchConfig, _Budget, _evans_batch,
+                    _winding_retry, evans)
 from .hill import discriminant, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
 from .lattice import Wavevector, class_line_count, class_point, companion_basis
@@ -162,8 +163,8 @@ def annulus_windings(fs, search: RootSearchConfig) -> tuple:
     (eps_cut, 4 c_max); fs is a list evaluator as in evans._winding."""
     c, x0, y0 = search.c_max, -search.pad, search.eps_cut
     cache: dict = {}
-    budget = _Budget(search.max_evals)
-    rng = np.random.default_rng(search.seed)
+    budget = _Budget(_MAX_EVALS)
+    rng = np.random.default_rng(_SEED)
     return tuple(_winding_retry(fs, band, cache, budget, rng)[0]
                  for band in ((x0, 4 * c, c, 4 * c), (c, 4 * c, y0, c)))
 

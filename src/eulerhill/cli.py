@@ -151,7 +151,11 @@ def cmd_circles(args) -> int:
 
 
 def cmd_evans_roots(args) -> int:
-    rs = find_roots(args.theta, args.d, args.search)
+    try:
+        rs = find_roots(args.theta, args.d, args.search)
+    except ValueError as exc:  # a non-finite --theta, or a negative or non-finite --d
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.fmt == "json":
         payload = {
             "schema_version": euler_mod.SCHEMA_VERSION,

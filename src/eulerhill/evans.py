@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -66,12 +66,14 @@ TWO_PI = 2.0 * math.pi
 
 # Fixed search settings: the half-width of the axis strip and the axis
 # snap tolerance as fractions of c_max, the Newton steps per root, the
-# jittered retries of a contour that hits a zero, and the samples at
-# which a winding walk stops refining.
+# jittered retries of a contour that hits a zero and their rng seed, the
+# evaluations of one search, and the samples that end a walk's refining.
 _AXIS_PAD = 0.0171
 _SNAP_TOL = 1e-8
 _NEWTON_STEPS = 80
 _RETRIES = 6
+_SEED = 20250810
+_MAX_EVALS = 60000
 _MAX_PTS = 20000
 
 
@@ -86,15 +88,13 @@ class RootSearchConfig:
     out to 4 c_max to check that.  Roots are seeded from the contour
     moments of the search box's walk, not isolated by subdividing it,
     so there is no depth limit.  Fixed, not settable: _AXIS_PAD,
-    _SNAP_TOL, _NEWTON_STEPS, _RETRIES and _MAX_PTS.
+    _SNAP_TOL, _NEWTON_STEPS, _RETRIES, _SEED, _MAX_EVALS and _MAX_PTS.
     """
 
     c_max: float = 2.0
     eps_cut: float = 1e-3
     root_tol: float = 1e-10
-    max_evals: int = 60000
     disc: DiscriminantConfig = field(default_factory=DiscriminantConfig)
-    seed: int = 20250810
 
     def __post_init__(self):
         if not self.c_max > 1.0:
@@ -345,6 +345,35 @@ def _count_windings(f, cfg, cache, budget, rng):
     return wa, wa - ws, box_a, walk
 
 
+def _check_class(theta: float, d: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not (math.isfinite(d) and d >= 0.0):
+        raise ValueError(f"d must be finite and nonnegative, got {d}")
+
+
+def _count_class(theta, d, cfg, region):
+    """The count step of find_roots and count_roots, walked once at cfg.
+
+    Unless region is None, the count 2 (w_A + w_B) must be the one it
+    predicts, or OracleMismatchError names the class, mu, eps_cut and
+    box A.  Returns (count, w_A, box A after any jitter, box A's final
+    walk, the list evaluator, the budget) for Newton to go on from.
+    """
+    _check_class(theta, d)
+    fs = lambda cs: _evans_batch(cs, theta, d, cfg.disc)
+    budget = _Budget(_MAX_EVALS)
+    wa, wb, box_a, walk = _count_windings(fs, cfg, {}, budget, np.random.default_rng(_SEED))
+    total = 2 * (wa + wb)
+    if region is not None and total != ROOT_COUNT_BY_REGION[region]:
+        raise OracleMismatchError(
+            f"{total} eigenvalues counted at (theta={theta}, d={d}, mu={d * d}) in box A "
+            f"{box_a} with eps_cut={cfg.eps_cut}, but region {region.value} predicts "
+            f"{ROOT_COUNT_BY_REGION[region]}"
+        )
+    return total, wa, box_a, walk, fs, budget
+
+
 def _moment_seeds(pts, vals, w):
     """Estimates of the w zeros inside a closed walk, from its contour moments.
 
@@ -387,24 +416,11 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
     The returned tuple is the full four-quadrant set.
     """
     cfg = cfg or DEFAULT_SEARCH
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    if expected_region is None:
+        _check_class(theta, d)  # before Fraction() meets a nan or an inf
     region = expected_region or classify_rational(Fraction(theta), Fraction(d))
-    disc_cfg = cfg.disc
-    f = lambda c: evans(c, theta, d, disc_cfg)
-    fs = lambda cs: _evans_batch(cs, theta, d, disc_cfg)
-    cache: dict = {}
-    budget = _Budget(cfg.max_evals)
-    rng = np.random.default_rng(cfg.seed)
-
-    wa, wb, box_a, walk = _count_windings(fs, cfg, cache, budget, rng)
-    total = 2 * (wa + wb)
-    if total != ROOT_COUNT_BY_REGION[region]:
-        raise OracleMismatchError(
-            f"find_roots found {total} eigenvalues at (theta={theta}, d={d}) in box A "
-            f"{box_a} with eps_cut={cfg.eps_cut}, but region {region.value} predicts "
-            f"{ROOT_COUNT_BY_REGION[region]}"
-        )
+    total, wa, box_a, walk, fs, budget = _count_class(theta, d, cfg, region)
+    f = lambda c: evans(c, theta, d, cfg.disc)
 
     seeds = _moment_seeds(*walk, wa)
     snap = _SNAP_TOL * cfg.c_max
@@ -458,35 +474,9 @@ def count_roots(
 ) -> int:
     """Total root count with multiplicity over all four quadrants.
 
-    Winding numbers only, no refinement.  When the exact region tag of
-    rational class data is supplied, a disagreement after the retry
-    ladder raises OracleMismatchError.
+    Winding numbers only, no refinement: find_roots' count step, walked
+    once at cfg.  When the exact region tag of rational class data is
+    supplied, a disagreement raises OracleMismatchError; nothing is
+    retried at other settings.
     """
-    cfg = cfg or DEFAULT_SEARCH
-    disc_cfg = cfg.disc
-    fs = lambda cs: _evans_batch(cs, theta, d, disc_cfg)
-
-    attempts = [cfg]
-    if expected_region is not None:
-        # retry lower (floored away from the degraded endpoint zone, but
-        # never above the caller's eps_cut)
-        eps_low = min(cfg.eps_cut, max(cfg.eps_cut / 2.0, 5e-4))
-        attempts.append(replace(cfg, eps_cut=eps_low,
-                                seed=cfg.seed + 1, max_evals=2 * cfg.max_evals))
-    count = None
-    for trial in attempts:
-        cache: dict = {}
-        budget = _Budget(trial.max_evals)
-        rng = np.random.default_rng(trial.seed)
-        wa, wb, _, _ = _count_windings(fs, trial, cache, budget, rng)
-        count = 2 * (wa + wb)
-        if expected_region is None:
-            return count
-        if count == ROOT_COUNT_BY_REGION[expected_region]:
-            return count
-    raise OracleMismatchError(
-        f"count_roots found {count} eigenvalues at (theta={theta}, d={d}) "
-        f"but region {expected_region} predicts "
-        f"{ROOT_COUNT_BY_REGION[expected_region]}"
-    )
-
+    return _count_class(theta, d, cfg or DEFAULT_SEARCH, expected_region)[0]

@@ -145,6 +145,19 @@ def test_evans_roots_wrong_count_exits_1(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("theta, d, name", [
+    ("0.3", "-0.5", "d"), ("0.3", "nan", "d"), ("0.3", "inf", "d"),
+    ("nan", "0.5", "theta"), ("inf", "0.5", "theta"),
+])
+def test_evans_roots_bad_class_data_is_a_usage_error(theta, d, name, capsys):
+    code = main(["evans-roots", "--theta", theta, "--d", d])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be finite")
+
+
 def test_spectrum_json(capsys):
     code, out = run_cli(
         ["--format", "json", "spectrum", "--p", "1,2", "--count-only"], capsys,

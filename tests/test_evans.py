@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from eulerhill import (
     cross_validate,
     find_roots,
     s_of_c,
+    spectrum_report,
 )
 from eulerhill import checks
 import eulerhill.evans as evans_mod
@@ -215,50 +217,20 @@ def test_count_mismatch_raises_oracle_error():
         count_roots(0.1, 0.6, expected_region=RegionTag.REGION_II)
 
 
-def test_count_roots_ladder_keeps_caller_settings(monkeypatch):
-    seen = []
-
-    def fake_count_windings(f, trial, cache, budget, rng):
-        seen.append(trial.root_tol)
-        return 0, 0, None, None  # misses region I on every rung
-
-    monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
-    with pytest.raises(OracleMismatchError):
-        count_roots(0.1, 0.6, RootSearchConfig(root_tol=1e-9), expected_region=RegionTag.REGION_I)
-    assert seen == [1e-9, 1e-9]
-
-
-def test_count_roots_ladder_never_raises_eps_cut(monkeypatch):
-    seen = []
-
-    def fake_count_windings(f, trial, cache, budget, rng):
-        seen.append(trial.eps_cut)
-        return 0, 0, None, None  # misses region I on every rung
-
-    monkeypatch.setattr(evans_mod, "_count_windings", fake_count_windings)
-    for cfg, steps in ((RootSearchConfig(), [1e-3, 5e-4]),
-                       (RootSearchConfig(eps_cut=2e-4), [2e-4, 2e-4])):
-        seen.clear()
-        with pytest.raises(OracleMismatchError):
-            count_roots(0.1, 0.6, cfg, expected_region=RegionTag.REGION_I)
-        assert seen == steps
-    # a box inside the unit disk is refused before any rung
-    with pytest.raises(ValueError, match="^c_max "):
-        RootSearchConfig(c_max=4e-4, eps_cut=2e-4)
-
-
 def test_find_roots_region_is_exact_at_d_zero():
     rs = find_roots(0.3, 0.0)
     assert rs.count == 0
     assert rs.region_predicted == RegionTag.CORNER
 
 
-def test_count_roots_budget_is_charged_per_distinct_point():
+def test_count_roots_budget_is_charged_per_distinct_point(monkeypatch):
     # count_roots(0.2, 0.6) evaluates 343 distinct contour points, a point
     # left of the axis and its mirror twin counting once
+    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 342)
     with pytest.raises(ConvergenceError):
-        count_roots(0.2, 0.6, RootSearchConfig(max_evals=342))
-    assert count_roots(0.2, 0.6, RootSearchConfig(max_evals=343)) == 2
+        count_roots(0.2, 0.6)
+    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 343)
+    assert count_roots(0.2, 0.6) == 2
 
 
 def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
@@ -351,6 +323,34 @@ def test_find_roots_raises_on_a_count_its_region_contradicts(monkeypatch):
         find_roots(0.1329, 0.4975)
 
 
+def test_both_searches_raise_one_message_where_the_count_misses_a_pair(monkeypatch):
+    # region II predicts 4 roots; the pair at +-0.00063245i lies below
+    # eps_cut, and the count step walks once without retrying lower
+    messages = []
+    for search in (count_roots, find_roots):
+        with pytest.raises(OracleMismatchError) as exc:
+            search(0.1329, 0.4975, expected_region=RegionTag.REGION_II)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert re.match(r"2 eigenvalues counted at \(theta=0\.1329, d=0\.4975, mu=0\.2475\d*\) "
+                    r"in box A .* with eps_cut=0\.001, but region II predicts 4$", messages[0])
+    # a spectrum names the class in front of the same message
+    monkeypatch.setattr(evans_mod, "_count_windings", lambda *args: (0, 0, None, None))
+    with pytest.raises(OracleMismatchError, match=r"^class k=1: 0 eigenvalues .* mu=.*eps_cut="):
+        spectrum_report(Wavevector(1, 2), count_only=True)
+
+
+@pytest.mark.parametrize("theta, d", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+                                      (0.3, -0.5), (0.3, math.nan), (0.3, math.inf)])
+def test_class_data_must_be_finite_with_nonnegative_d(theta, d):
+    name = "theta" if not math.isfinite(theta) else "d"
+    for search in (count_roots, find_roots):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            search(theta, d)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            search(theta, d, expected_region=RegionTag.REGION_I)
+
+
 def test_find_roots_takes_the_exact_region_of_class_data():
     # (1,2) k = 3 lies on the inner circle exactly, in region II as floats
     p = Wavevector(1, 2)
@@ -406,6 +406,7 @@ def test_search_box_must_be_well_formed():
                       (dict(eps_cut=2.0), "eps_cut"), (dict(eps_cut=-0.01), "eps_cut"),
                       (dict(eps_cut=0.0), "eps_cut"), (dict(eps_cut=math.nan), "eps_cut"),
                       (dict(c_max=1.0), "c_max"), (dict(c_max=0.5), "c_max"),
+                      (dict(c_max=4e-4, eps_cut=2e-4), "c_max"),
                       (dict(c_max=1.5, eps_cut=1.5), "eps_cut"),
                       (dict(root_tol=0.0), "root_tol"), (dict(root_tol=-1.0), "root_tol")):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -451,10 +452,11 @@ def test_strip_difference_equals_walking_box_b():
         def fs(cs):
             return evans_mod._evans_batch(cs, theta, d, cfg.disc)
         wa, wb, box_a, _ = evans_mod._count_windings(
-            fs, cfg, {}, evans_mod._Budget(cfg.max_evals), np.random.default_rng(cfg.seed))
+            fs, cfg, {}, evans_mod._Budget(evans_mod._MAX_EVALS),
+            np.random.default_rng(evans_mod._SEED))
         assert box_a == (-pad, c_max, eps, c_max)  # not jittered: B is the fixed box
         direct, _ = evans_mod._winding(fs, (pad, c_max, eps, c_max), {},
-                                       evans_mod._Budget(cfg.max_evals))
+                                       evans_mod._Budget(evans_mod._MAX_EVALS))
         assert wb == direct, (theta, d, wa, wb, direct)
         seen.add(direct)
     assert seen == {0, 1}  # the quadruplet at (0.4, 0.6) has its root in B
@@ -465,8 +467,9 @@ def _rect_edges(x0, x1, y0, y1):
     return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
 
 
-# the edges of box A and the strip on the count_roots ladder, and of the
-# annulus bands that `verify --level full` walks
+# the edges of box A and the strip at the default eps_cut and at a
+# user-set eps_cut of 5e-4, and of the annulus bands that `verify --level
+# full` walks
 _COUNT_EDGES = [
     edge
     for eps, c_max in ((1e-3, 2.0), (5e-4, 2.0))
@@ -539,8 +542,8 @@ def test_edge_points_depend_only_on_the_edge(edge, u):
 
 
 def _search_edge_points():
-    # box A and the strip on both count_roots rungs, their bottom edges
-    # next to the cut
+    # box A and the strip at the default eps_cut and at a user-set one of
+    # 5e-4, their bottom edges next to the cut
     cfg = RootSearchConfig()
     pad, c_max = cfg.pad, cfg.c_max
     return sorted({z for eps in (cfg.eps_cut, 5e-4)
