@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -31,6 +32,9 @@ SETTINGS = {"half_width": int, "integrator_tol": float, "root_tol": float,
             "c_max": float, "eps_cut": float, "out": str, "fmt": str}
 
 FORMATS = ("csv", "json")
+
+#: a flag value that argparse would take for a flag: -1e-3, -inf, -0.5+0.1j, -4,5
+NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def fmt_float(x: float) -> str:
@@ -322,9 +326,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv):
+    """argv with each negative value joined to its flag as --flag=value.
+
+    argparse reads only -digits[.digits] as a negative number; any other
+    token that starts with '-', such as -1e-3, -inf or -0.5+0.1j, it takes
+    for a flag, and the flag before it then lacks its value.
+    """
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and NEGATIVE_VALUE.match(tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
 
     try:
         _apply_settings(args)

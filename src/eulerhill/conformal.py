@@ -13,9 +13,6 @@ from enum import Enum
 
 from .errors import BranchCutError, SingularPotentialError
 
-#: Exact powers of i, indexed by exponent mod 4.
-I_POW = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
-
 #: |Im c| below this is treated as exactly real for cut detection.
 CUT_IMAG_TOL = 1e-14
 

@@ -24,16 +24,23 @@ The infinite product over n > N is a finite product up to 10N times
 exp(-sum_j Lambda^j zeta(2j, 10N+1) / j), summed by Horner's rule from
 Hurwitz zeta values cached per N.
 
+The retained block is centrosymmetric after the similarity diag(i^n),
+because the potential sin eta / (c + sin eta) is even about eta = pi/2.
+So its determinant is det E * det O, over an even block E (modes
+0..N, side N+1) and an odd block O (modes 1..N, side N); see
+_block_det() for their entries.  The rank-2 update enters each block
+as an elementwise outer product.
+
 Evaluation is batched.  discriminant_batch() groups the points by their
 half-width N (widened near the cut ends) and runs one kernel per chunk
 of at most _CHUNK points.  Per-point sequences carry the points on
-their last axis: the power tables of s and s^2 (running products, one
-cumprod call for both, in place of complex array powers), the Schur sums,
-the two lag-sum scans and the tail product.  The (n, 2N+1, 2N+1)
-matrix stack gets the rank-2 update as one (n, 2N+1, 2) @ (n, 2, 2N+1)
-product and goes through one stacked det.  Every sum over a sequence
-is accumulated in order, so a point's value is bitwise the same in any
-batch; discriminant() is the batch of one.
+their last axis: the power tables of s (up to s^2N) and s^2 (running
+products, one cumprod call each, in place of complex array powers),
+the Schur sums, the two lag-sum scans and the tail product.  The
+blocks of all points go through one stacked det.  Every sum over a
+sequence is accumulated in order, so a point's value is bitwise the
+same in any batch of up to _CHUNK points; discriminant() is the batch
+of one.
 
 With the default half-width 16 this agrees with direct monodromy
 integration to 1.2e-8 on the standard parameter grid.  Close to the
@@ -53,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import zeta
 
-from .conformal import I_POW, SpectralParam, s_of_c
+from .conformal import SpectralParam, s_of_c
 from .errors import PoleProximityError
 
 __all__ = [
@@ -64,7 +71,10 @@ __all__ = [
     "discriminant_slope_at_zero",
 ]
 
-#: points per kernel call; bounds the (n, 2N+1, 2N+1) temporaries
+#: points per kernel call; bounds the (n, 2, N+1, N+1) temporaries.  At
+#: 16 no value measured differs from its batch-of-one value; at 64, 112
+#: of 5760 mixed box and cut-end points differed in their last digits,
+#: through the Schur sum W2.
 _CHUNK = 16
 
 #: hill_determinant() refuses Lambda this close to a pole n^2
@@ -107,15 +117,12 @@ DEFAULT_CONFIG = DiscriminantConfig()
 class _Modes:
     """The parts of the kernel that depend on the half-width N alone."""
 
-    n2: np.ndarray             # n^2 of the retained modes n = -N..N
-    gphase: np.ndarray         # i^o for the offsets o = -2N..2N, 0 at o = 0
-    absoff: np.ndarray         # |o|
-    idx: np.ndarray            # (n - m) + 2N: Toeplitz gather of g~
-    uv_exp: np.ndarray         # (m, 2): N - n and N + n
-    u_phase: np.ndarray        # (m, 2): i^n, twice
-    v_phase: np.ndarray        # (2, m): i^-n, twice
-    row_scale: np.ndarray
-    inv_row_scale: np.ndarray
+    n2: np.ndarray             # k^2 of the modes k = 0..N
+    toe: np.ndarray            # (2, N+1, N+1): |k-l| into the block table, per block
+    han: np.ndarray            # (2, N+1, N+1): k+l, odd block offset into the negated half
+    ab_idx: np.ndarray         # (2, N+1): N - k and N + k
+    col0_half: np.ndarray      # 1/2 at l = 0, 1 elsewhere
+    inv_row_scale: np.ndarray  # (N+1, 1): k^-2, 1 at k = 0
     z2: np.ndarray             # z^2 for the discarded modes z = N+1, N+2, ...
     n_disc: int                # modes N+1..M of the discarded block
     rem: np.ndarray            # (M-N-1, 2): T2 remainder beyond M is rem[:, 0] + Lambda rem[:, 1]
@@ -125,27 +132,25 @@ class _Modes:
 
 @lru_cache(maxsize=32)
 def _modes(N: int) -> _Modes:
-    nn = np.arange(-N, N + 1)
-    offs = np.arange(-2 * N, 2 * N + 1)
-    gphase = np.array([I_POW[o % 4] for o in offs])
-    gphase[2 * N] = 0.0
-    ipn = np.array([I_POW[x % 4] for x in nn])
-    ipm = np.array([I_POW[(-x) % 4] for x in nn])
-    row_scale = np.where(nn == 0, 1.0, nn.astype(float) ** 2)
+    k = np.arange(N + 1)
+    zero = 2 * N + 1  # the block table's 0 entry
+    toe = np.abs(k[:, None] - k)
+    toe[k, k] = zero
+    toe = np.stack((toe, toe))
+    han = np.stack((k[:, None] + k, k[:, None] + k + zero + 1))
+    han[0, :, 0] = zero  # the even block's column 0 holds s^k once
+    toe[1, 0, :] = toe[1, :, 0] = han[1, 0, :] = han[1, :, 0] = zero  # odd block's padding
     M = max(240, 5 * N)
     ks = np.arange(1, M - N, dtype=float)
     Y = M + 0.5 - 0.5 * ks
     j = np.arange(1, _ZETA_TERMS + 1)
     return _Modes(
-        n2=nn.astype(float) ** 2,
-        gphase=gphase,
-        absoff=np.abs(offs),
-        idx=nn[:, None] - nn[None, :] + 2 * N,
-        uv_exp=np.stack((N - nn, N + nn), axis=-1),
-        u_phase=np.stack((ipn, ipn), axis=-1),
-        v_phase=np.stack((ipm, ipm)),
-        row_scale=row_scale,
-        inv_row_scale=1.0 / row_scale,
+        n2=k.astype(float) ** 2,
+        toe=toe,
+        han=han,
+        ab_idx=np.stack((N - k, N + k)),
+        col0_half=np.where(k == 0, 0.5, 1.0),
+        inv_row_scale=1.0 / np.maximum(k, 1).astype(float)[:, None] ** 2,
         z2=np.arange(N + 1, N + 1 + max(_SCHUR_TERMS + 4, M - N), dtype=float) ** 2,
         n_disc=M - N,
         rem=np.stack((1.0 / (3.0 * Y**3) + 0.5 * ks * ks / (5.0 * Y**5), 2.0 / (5.0 * Y**5)), axis=-1),
@@ -170,32 +175,56 @@ def _powers(x: np.ndarray, n: int) -> np.ndarray:
 def _colsum(x: np.ndarray) -> np.ndarray:
     """Sums down the first axis, added in order.
 
-    Unlike x.sum(axis=0), which sums one column pairwise but several
-    row by row, the rounding is the same for any number of columns, so a
-    point's value does not depend on the batch it is evaluated in.
+    numpy reduces several columns row by row, in order, but sums a lone
+    contiguous column pairwise; a single point takes the in-order
+    cumsum instead, so its value does not depend on the batch it is
+    evaluated in.
     """
+    if x.shape[-1] > 1:
+        return np.add.reduce(x, axis=0)
     return np.cumsum(x, axis=0)[-1]
 
 
-def _cleared_stack(spow: np.ndarray, kappa: np.ndarray, lam: np.ndarray, N: int) -> np.ndarray:
-    """Cleared-denominator truncations B_nm = (Lambda - n^2) d_nm + g~_{n-m}.
+def _block_det(s, kappa, lam, N: int, wtot=None) -> np.ndarray:
+    """det E * det O of the row-scaled cleared truncation, per point of the arrays.
 
-    One (2N+1, 2N+1) matrix per row of spow (s^0..s^2N, C-ordered so that
-    the stack is) and point of kappa, lam, with g~_o = kappa i^o s^|o|
-    and g~_0 = 0.
+    The truncation B_nm = (Lambda - n^2) d_nm + kappa i^(n-m) s^|n-m| (n != m),
+    n, m = -N..N, less wtot i^(n-m) (s^(2N-n-m) + s^(2N+n+m)) where wtot is
+    given, is centrosymmetric after the similarity diag(i^n).  So it
+    splits into its even block E (modes 0..N) and odd block O (modes
+    1..N), each row k scaled by k^-2 (1 at k = 0).  With a_k = s^(N-k)
+    and b_k = s^(N+k):
+
+        E_kl = (Lambda - k^2) d_kl + kappa (s^|k-l| [k != l] + s^(k+l))
+               - wtot (a_k + b_k)(a_l + b_l)   (l >= 1),
+        E_k0 = Lambda d_k0 + kappa s^k [k != 0] - wtot (a_k + b_k) s^N,
+        O_kl = (Lambda - k^2) d_kl + kappa (s^|k-l| [k != l] - s^(k+l))
+               - wtot (a_k - b_k)(a_l - b_l).
+
+    No exponent of s is negative, so tiny |s| cannot overflow the update.
+    O is padded to side N+1 with a 1 at [0, 0], which changes neither its
+    determinant nor its LU, so both blocks go through one stacked det.
     """
     md = _modes(N)
-    m = 2 * N + 1
-    g = kappa[:, None] * md.gphase * spow[:, md.absoff]
-    B = np.take(g, md.idx, axis=1)  # C-ordered, unlike g[:, md.idx]
-    B.reshape(len(B), m * m)[:, :: m + 1] += lam[:, None] - md.n2
-    return B
-
-
-def _cleared_array(sp: SpectralParam, lam: complex, N: int) -> np.ndarray:
-    """_cleared_stack for one point."""
-    spow = _powers(np.array([sp.s]), 2 * N + 1).T.copy()
-    return _cleared_stack(spow, np.array([sp.kappa]), np.array([complex(lam)]), N)[0]
+    n, m = len(s), N + 1
+    spow = _powers(s, 2 * N + 1).T  # s^0..s^2N, one row per point
+    tab = np.zeros((n, 2, 2 * N + 2), dtype=complex)  # kappa s^j and -kappa s^j, then 0
+    np.multiply(spow, kappa[:, None], out=tab[:, 0, :-1])
+    np.negative(tab[:, 0], out=tab[:, 1])
+    tab = tab.reshape(n, -1)
+    B = np.take(tab, md.toe, axis=1)  # (n, block, m, m)
+    tmp = np.take(tab, md.han, axis=1)
+    B += tmp
+    B.reshape(n, 2, m * m)[:, :, :: m + 1] += (lam[:, None] - md.n2)[:, None]
+    if wtot is not None:
+        a, b = np.take(spow, md.ab_idx, axis=1).transpose(1, 0, 2)
+        u = np.stack((a + b, a - b), axis=1)  # (n, block, m)
+        v = u * (wtot[:, None, None] * md.col0_half)
+        B -= np.multiply(u[..., :, None], v[..., None, :], out=tmp)
+    B *= md.inv_row_scale
+    B[:, 1, 0, 0] = 1.0
+    d = np.linalg.det(B)
+    return d[:, 0] * d[:, 1]
 
 
 def hill_determinant(sp: SpectralParam, lam: complex, cfg: DiscriminantConfig | None = None) -> complex:
@@ -211,8 +240,7 @@ def hill_determinant(sp: SpectralParam, lam: complex, cfg: DiscriminantConfig | 
     for n in range(0, N + 1):
         if abs(lam - n * n) < _POLE_GUARD:
             raise PoleProximityError(f"Lambda = {lam} within {_POLE_GUARD} of n^2 = {n * n}")
-    B = _cleared_array(sp, lam, N)
-    K4 = np.linalg.det(B / _modes(N).row_scale[:, None])
+    K4 = _block_det(np.array([sp.s]), np.array([sp.kappa]), np.array([lam]), N)[0]
     ns = np.arange(1, N + 1, dtype=float)
     return K4 / (lam * np.prod((lam / ns**2 - 1.0) ** 2))
 
@@ -268,31 +296,27 @@ def _geom_lag_sums(f: np.ndarray, rpow: np.ndarray):
 def _corrected_scaled_det(s, kappa, lam, N: int) -> np.ndarray:
     """K(Lambda) * prod n^-4 with the discarded modes eliminated to 2nd order.
 
-    Returns det(rowscaled(B_eff)) * exp(-T2/2 + T3/3) for each point of
-    the arrays s, kappa, lam; see module docstring.  Lambda must satisfy
-    |Lambda| < (N+1)^2 / 2, which the half-width bump guarantees.
+    Returns det E * det O of the row-scaled B_eff times exp(-T2/2 + T3/3)
+    for each point of the arrays s, kappa, lam; see module docstring.
+    Lambda must satisfy |Lambda| < (N+1)^2 / 2, which the half-width bump
+    guarantees.
     """
     md = _modes(N)
     J, L = _SCHUR_TERMS, md.n_disc
-    n = len(s)
     s2 = s * s
-    P = _powers(np.concatenate((s, s2)), len(md.z2) + 1)
-    spow = P[: 2 * N + 1, :n].T.copy()  # s^0..s^2N, one row per point
-    s2pow = P[:, n:]
-    B = _cleared_stack(spow, kappa, lam, N)
     # the corrections are skipped where kappa vanishes or underflows, and
     # next to the cut ends, where the geometric sums do not converge
     active = (np.abs(kappa * s2) > 1e-18) & (np.abs(1.0 - s2) > 1e-3)
-    logcorr = 0.0
+    wtot, logcorr = None, 0.0
     if active.any():
         kc = kappa * active  # a zero kappa zeroes both corrections exactly
         k2, k3 = kc**2, kc**3
+        s2pow = _powers(s2, len(md.z2) + 1)
         fz = 1.0 / (lam - md.z2[:, None])
 
         # rank-2 Schur update: W1 = sum_z w_z f_z and W2 = 2 sum_z w_z f_z
         # sum_{y<z} f_y, with w_z = s^(2(z-N)) up to z = N+J and the
-        # summation-by-parts weights of the remainder after it.  Powers of
-        # s stay >= 0 so that tiny |s| cannot overflow the factors U, V.
+        # summation-by-parts weights of the remainder after it.
         inv = 1.0 / (1.0 - s2)
         w = s2pow[1 : J + 5].copy()
         r, tw = s2 * inv, _TAIL_WEIGHTS[:, :, None]
@@ -301,9 +325,6 @@ def _corrected_scaled_det(s, kappa, lam, N: int) -> np.ndarray:
         W1 = _colsum(wf)
         W2 = 2.0 * _colsum(wf[1:] * fz[: J + 3].cumsum(axis=0))
         wtot = k2 * W1 - k3 * W2
-        U = spow[:, md.uv_exp] * md.u_phase  # (n, m, 2): i^n s^(N-n), i^n s^(N+n)
-        V = spow[:, md.uv_exp.T] * (md.v_phase * wtot[:, None, None])  # (n, 2, m)
-        B -= U @ V
 
         # determinant of the discarded block: log = -T2/2 + T3/3
         pair, triple = _geom_lag_sums(fz[:L], s2pow)
@@ -312,8 +333,7 @@ def _corrected_scaled_det(s, kappa, lam, N: int) -> np.ndarray:
         T3 = 12.0 * k3 * triple
         logcorr = -0.5 * T2 + T3 / 3.0
 
-    B *= md.inv_row_scale[:, None]
-    return np.linalg.det(B) * np.exp(logcorr)
+    return _block_det(s, kappa, lam, N, wtot) * np.exp(logcorr)
 
 
 def discriminant_batch(

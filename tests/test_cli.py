@@ -158,6 +158,25 @@ def test_evans_roots_bad_class_data_is_a_usage_error(theta, d, name, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {name} must be finite")
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["evans-roots", "--theta", "-1e-3", "--d", "0.6"], 0, ""),
+    (["discriminant", "--c", "-0.5+0.1j", "--mu-min", "-1e-3", "--mu-max", "1e-3",
+      "--points", "2"], 0, ""),
+    (["contour-c", "--d", "0.5", "--re-min", "-1.5e0", "--re-max", "-.5", "--points-re", "2",
+      "--points-im", "2"], 0, ""),
+    (["spectrum", "--p", "-1,2", "--count-only"], 0, ""),
+    (["evans-roots", "--theta", "-inf", "--d", "0.6"], 2, "error: theta must be finite"),
+    (["--c-max", "-inf", "spectrum", "--p", "1,2", "--count-only"], 2,
+     "error: c_max must exceed 1"),
+], ids=["theta-exponent", "complex-c", "re-min", "pair", "theta-inf", "global-c-max"])
+def test_negative_flag_values_are_values(argv, code, err, capsys):
+    # argparse takes a token such as -1e-3, -inf, -0.5+0.1j or -1,2 for a flag
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == (1 if err else 0)
+    assert (captured.out != "") == (code == 0)
+
+
 def test_spectrum_json(capsys):
     code, out = run_cli(
         ["--format", "json", "spectrum", "--p", "1,2", "--count-only"], capsys,

@@ -15,7 +15,6 @@ from eulerhill import (
     s_at_origin,
     s_of_c,
 )
-from eulerhill.hill import _cleared_array
 
 
 def test_s_of_c_real_example():
@@ -89,34 +88,35 @@ def test_pure_imaginary_c_gives_real_kappa():
         assert -1.0 < sp.kappa.real <= 0.0
 
 
-def _coefficients(c, N):
+def _coefficients(hill_matrix, c, N):
     """g_k, k = -N..N, of sin(eta)/(c + sin(eta)) as the Hill matrix holds them:
     B_nm = g_{n-m} off its diagonal.  The diagonal holds Lambda - n^2, with
     g_0 = 1 + kappa folded into Lambda, so g_0 is taken from sp."""
     sp = s_of_c(c)
-    g = _cleared_array(sp, 0.0, N)[:, N]
+    g = hill_matrix(sp, 0.0, N)[:, N]
     g[N] = sp.g0
     return g
 
 
-def test_fourier_coeff_against_fft():
+def test_fourier_coeff_against_fft(hill_matrix):
     M = 512
     eta = 2.0 * math.pi * np.arange(M) / M
     for c in (2.0, 0.2j, 0.1 + 0.2j):
         Q = np.sin(eta) / (c + np.sin(eta))
         coef = np.fft.fft(Q) / M
-        g = _coefficients(c, 8)
+        g = _coefficients(hill_matrix, c, 8)
         for k in range(-8, 9):
             assert abs(coef[k % M] - g[k + 8]) < 1e-12, (c, k)
 
 
-def test_fourier_series_convergence():
+def test_fourier_series_convergence(hill_matrix):
     """Partial sums converge to the potential at the geometric rate |s|^K."""
     K = 30
     eta = 2.0 * math.pi * np.arange(64) / 64
     for c in (2.0, 0.2j, 0.1 + 0.2j):
         sp = s_of_c(c)
-        partial = _coefficients(c, K) @ np.exp(1j * np.outer(np.arange(-K, K + 1), eta))
+        modes = np.exp(1j * np.outer(np.arange(-K, K + 1), eta))
+        partial = _coefficients(hill_matrix, c, K) @ modes
         err = np.max(np.abs(partial - np.sin(eta) / (c + np.sin(eta))))
         a = abs(sp.s)
         bound = 2.0 * abs(sp.kappa) * a ** (K + 1) / (1.0 - a)
@@ -125,12 +125,12 @@ def test_fourier_series_convergence():
             assert err <= 1e-8
 
 
-def test_conjugate_coefficient_relation():
+def test_conjugate_coefficient_relation(hill_matrix):
     # g_k at conj(c) is the conjugate of g_{-k} at c, so for real Lambda
     # the Hill matrix at conj(c) is the conjugate transpose of the one at c
     c, lam = 0.3 + 0.4j, 0.7
-    B = _cleared_array(s_of_c(c), lam, 4)
-    Bc = _cleared_array(s_of_c(c.conjugate()), lam, 4)
+    B = hill_matrix(s_of_c(c), lam, 4)
+    Bc = hill_matrix(s_of_c(c.conjugate()), lam, 4)
     assert np.max(np.abs(Bc - B.conj().T)) < 1e-14
 
 

@@ -21,44 +21,65 @@ from eulerhill import (
     s_at_origin,
     s_of_c,
 )
-from eulerhill.hill import _cleared_array, _geom_lag_sums, _geom_scan
+from eulerhill.hill import _block_det, _geom_lag_sums, _geom_scan
 
 N16 = DiscriminantConfig(half_width=16)
 
 
-def test_hill_matrix_diagonal_at_origin():
+def test_hill_matrix_diagonal_at_origin(hill_matrix):
     sp = s_at_origin(Side.UPPER)
-    B = _cleared_array(sp, 0.3 + 0.1j, 16)
+    B = hill_matrix(sp, 0.3 + 0.1j, 16)
     off = B - np.diag(np.diag(B))
     assert np.max(np.abs(off)) == 0.0
     nn = np.arange(-16, 17)
     assert np.allclose(np.diag(B), (0.3 + 0.1j) - nn.astype(float) ** 2)
 
 
-def test_hill_matrix_three_by_three():
+def test_hill_matrix_three_by_three(hill_matrix):
     sp = s_of_c(0.3 + 0.4j)
-    lam = 0.7 - 0.2j
-    B = _cleared_array(sp, lam, 1)
+    lam, wtot = 0.7 - 0.2j, 0.3 - 0.2j
+    B = hill_matrix(sp, lam, 1, wtot)
     s, k = sp.s, sp.kappa
+    t1, t2 = s + s**3, 2.0 * s * s
     expected = np.array(
         [
-            [lam - 1.0, -1j * k * s, -k * s * s],
-            [1j * k * s, lam, -1j * k * s],
-            [-k * s * s, 1j * k * s, lam - 1.0],
+            [lam - 1.0 - wtot * (1.0 + s**4), -1j * (k * s - wtot * t1), -k * s * s + wtot * t2],
+            [1j * (k * s - wtot * t1), lam - wtot * t2, -1j * (k * s - wtot * t1)],
+            [-k * s * s + wtot * t2, 1j * (k * s - wtot * t1), lam - 1.0 - wtot * (1.0 + s**4)],
         ]
     )
     assert np.max(np.abs(B - expected)) < 1e-15
 
 
-def test_hill_matrix_toeplitz_off_diagonal():
+def test_hill_matrix_toeplitz_off_diagonal(hill_matrix):
     sp = s_of_c(0.2j)
     lam = 0.4
-    B = _cleared_array(sp, lam, 6)
+    B = hill_matrix(sp, lam, 6)
     nn = np.arange(-6, 7)
     off = B - np.diag(lam - nn.astype(float) ** 2)
     for i in range(12):
         for j in range(12):
             assert abs(off[i, j] - off[i + 1, j + 1]) < 1e-15
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 16])
+@pytest.mark.parametrize("c", [
+    0.3 + 0.4j, -1.5 + 3.0j, 2.0 + 0.001j, 0.2j, -0.9 + 0.05j,  # box points
+    1.0 + 1e-3 * cmath.exp(0.5j), -1.0 + 1e-4j, 0.998 + 0.001j,  # next to the cut ends
+])
+def test_even_odd_split_is_exact(hill_matrix, c, N):
+    # det E * det O of the kernel against the determinant of the full
+    # row-scaled truncation, with and without the rank-2 update
+    sp = s_of_c(c)
+    lam = sp.g0 - 0.36
+    nn = np.abs(np.arange(-N, N + 1))
+    row_scale = np.where(nn == 0, 1.0, nn.astype(float) ** 2)
+    for wtot in (None, 0.3 - 0.2j):
+        B = hill_matrix(sp, lam, N, 0.0 if wtot is None else wtot)
+        ref = np.linalg.det(B / row_scale[:, None])
+        got = _block_det(np.array([sp.s]), np.array([sp.kappa]), np.array([lam]), N,
+                         None if wtot is None else np.array([wtot]))[0]
+        assert abs(got - ref) <= 1e-12 * abs(ref), (c, N, wtot, got, ref)
 
 
 def test_hill_determinant_is_one_at_origin():
@@ -259,7 +280,7 @@ def test_batch_matches_one_point(cs, mu):
     assert batch.shape == (len(cs),)
     for c, sp, val in zip(cs, sps, batch):
         one = discriminant(sp, mu)
-        assert abs(val - one) <= 1e-12 * abs(one), (c, mu, val, one)
+        assert val == one, (c, mu, val, one)
 
 
 def test_batch_mixed_half_widths_empty_and_repeated():
