@@ -50,6 +50,13 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
 
 
+def positive_int(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    return n
+
+
 def parse_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c", type=parse_complex, required=True)
     s.add_argument("--mu-min", type=float, default=-6.0)
     s.add_argument("--mu-max", type=float, default=2.0)
-    s.add_argument("--points", type=int, default=400)
+    s.add_argument("--points", type=positive_int, default=400)
     s.set_defaults(fn=cmd_discriminant)
 
     s = sub.add_parser("contour-c", help="Delta(d^2; c) on a complex-c grid")
@@ -291,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--re-max", type=float, default=1.5)
     s.add_argument("--im-min", type=float, default=0.01)
     s.add_argument("--im-max", type=float, default=1.5)
-    s.add_argument("--points-re", type=int, default=60)
-    s.add_argument("--points-im", type=int, default=40)
+    s.add_argument("--points-re", type=positive_int, default=60)
+    s.add_argument("--points-im", type=positive_int, default=40)
     s.set_defaults(fn=cmd_contour_c)
 
     s = sub.add_parser("contour-mu", help="Delta(mu; c) on a complex-mu grid")
@@ -301,12 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--re-max", type=float, default=1.5)
     s.add_argument("--im-min", type=float, default=-1.0)
     s.add_argument("--im-max", type=float, default=1.0)
-    s.add_argument("--points-re", type=int, default=60)
-    s.add_argument("--points-im", type=int, default=40)
+    s.add_argument("--points-re", type=positive_int, default=60)
+    s.add_argument("--points-im", type=positive_int, default=40)
     s.set_defaults(fn=cmd_contour_mu)
 
     s = sub.add_parser("circles", help="exact region map over the fundamental domain")
-    s.add_argument("--denominator", type=int, default=24)
+    s.add_argument("--denominator", type=positive_int, default=24)
     s.set_defaults(fn=cmd_circles)
 
     s = sub.add_parser("evans-roots", help="root set of one class")

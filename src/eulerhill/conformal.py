@@ -20,7 +20,6 @@ CUT_IMAG_TOL = 1e-14
 class Side(Enum):
     UPPER = "upper"
     LOWER = "lower"
-    NOT_ON_CUT = "off"
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class SpectralParam:
     c: complex
     s: complex
     kappa: complex
-    side: Side = Side.NOT_ON_CUT
 
     @property
     def g0(self) -> complex:
@@ -63,7 +61,7 @@ def s_of_c(c: complex) -> SpectralParam:
     big = c + r if abs(c + r) >= abs(c - r) else c - r
     s = 1.0 / big
     kappa = -(1.0 + s * s) / (1.0 - s * s)
-    return SpectralParam(c=c, s=s, kappa=kappa, side=Side.NOT_ON_CUT)
+    return SpectralParam(c=c, s=s, kappa=kappa)
 
 
 def s_at_origin(side: Side) -> SpectralParam:
@@ -79,5 +77,5 @@ def s_at_origin(side: Side) -> SpectralParam:
         s = 1j
     else:
         raise BranchCutError("c = 0 requires an explicit side (UPPER or LOWER)")
-    return SpectralParam(c=0.0 + 0.0j, s=s, kappa=0.0 + 0.0j, side=side)
+    return SpectralParam(c=0.0 + 0.0j, s=s, kappa=0.0 + 0.0j)
 

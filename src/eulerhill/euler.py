@@ -17,7 +17,6 @@ from .errors import BranchCutError, EulerHillError
 from .evans import RootSearchConfig, count_roots, evans, find_roots
 from .hill import DiscriminantConfig
 from .lattice import (
-    ROOT_COUNT_BY_REGION,
     ClassPoint,
     RegionTag,
     Wavevector,
@@ -99,12 +98,6 @@ def spectrum_report(p: Wavevector, cfg: RootSearchConfig | None = None,
                 roots_lam = tuple((-1j * k * c, m) for c, m in rs.roots)
         except EulerHillError as exc:
             raise type(exc)(f"class k={k}: {exc}") from exc
-        expected = ROOT_COUNT_BY_REGION[cp.region]
-        if count != expected:
-            raise EulerHillError(
-                f"class k={k}: found {count} eigenvalues, region "
-                f"{cp.region.value} predicts {expected}"
-            )
         line = class_line_count(p, q, k)
         if count != 2 * line:
             raise EulerHillError(

@@ -13,16 +13,18 @@ evaluation eliminates the discarded modes to second order:
 * a rank-2 update of the retained block (Schur complement of the
   discarded modes through one and two off-diagonal hops), and
 * a scalar factor exp(-T2/2 + T3/3) for the determinant of the
-  discarded block itself.  With r = s^2 and f_n = 1/(Lambda - n^2) for
-  the modes n = N+1..M, the lag sums are one pair of geometric scans,
+  discarded block itself.  With r = s^2 and f_a = 1/(Lambda - n^2) for
+  the one range of modes n = N+1+a up to M = max(240, 5N), all four
+  sums come from one pair of geometric scans,
   pre_m = sum_{a<m} r^(m-a) f_a and suf_m = sum_{b>m} r^(b-m) f_b:
 
+      W1 = sum r^(a+1) f,  W2 = 2 sum r^(a+1) f suf  (+ their tails past M),
       T2 = 4 kappa^2 (sum f suf + integral remainder beyond M),
       T3 = 12 kappa^3 sum f pre suf   (all a < m < b).
 
-The infinite product over n > N is a finite product up to 10N times
-exp(-sum_j Lambda^j zeta(2j, 10N+1) / j), summed by Horner's rule from
-Hurwitz zeta values cached per N.
+The infinite product over n > N is a finite product over the same modes
+up to M times exp(-sum_j Lambda^j zeta(2j, M+1) / j), summed by
+Horner's rule from Hurwitz zeta values cached per N.
 
 The retained block is centrosymmetric after the similarity diag(i^n),
 because the potential sin eta / (c + sin eta) is even about eta = pi/2.
@@ -36,11 +38,10 @@ half-width N (widened near the cut ends) and runs one kernel per chunk
 of at most _CHUNK points.  Per-point sequences carry the points on
 their last axis: the power tables of s (up to s^2N) and s^2 (running
 products, one cumprod call each, in place of complex array powers),
-the Schur sums, the two lag-sum scans and the tail product.  The
-blocks of all points go through one stacked det.  Every sum over a
-sequence is accumulated in order, so a point's value is bitwise the
-same in any batch of up to _CHUNK points; discriminant() is the batch
-of one.
+the two geometric scans and the tail product.  The blocks of all points
+go through one stacked det.  Every sum over a sequence is accumulated
+in order, so a point's value is bitwise the same in any batch of up to
+_CHUNK points; discriminant() is the batch of one.
 
 With the default half-width 16 this agrees with direct monodromy
 integration to 1.2e-8 on the standard parameter grid.  Close to the
@@ -80,12 +81,10 @@ _CHUNK = 16
 #: hill_determinant() refuses Lambda this close to a pole n^2
 _POLE_GUARD = 1e-8
 
-#: modes of the rank-2 Schur sums before the summation-by-parts tail
-_SCHUR_TERMS = 360
-
 #: Hurwitz terms of the tail product.  The half-width bump keeps
-#: |Lambda| <= (N-8)^2 / 2.5, so term j is below (10N+1) 0.004^j and the
-#: first omitted one below 1e-17 for any N up to 1e5.
+#: |Lambda| <= (N-8)^2 / 2.5 and M+1 >= 5N+1, so x = |Lambda|/(M+1)^2 < 1/62.5,
+#: term j <= 10 is below 1.1 (M+1) x^j / (j (2j-1)), and the first omitted
+#: one below 1e-17 for N up to 400 and 3e-15 for N up to 1e5.
 _ZETA_TERMS = 9
 
 #: Summation by parts to third differences: sum_{z>=a} w^(z-a) g(z) =
@@ -123,11 +122,9 @@ class _Modes:
     ab_idx: np.ndarray         # (2, N+1): N - k and N + k
     col0_half: np.ndarray      # 1/2 at l = 0, 1 elsewhere
     inv_row_scale: np.ndarray  # (N+1, 1): k^-2, 1 at k = 0
-    z2: np.ndarray             # z^2 for the discarded modes z = N+1, N+2, ...
-    n_disc: int                # modes N+1..M of the discarded block
+    z2: np.ndarray             # z^2 for the discarded modes z = N+1..M
     rem: np.ndarray            # (M-N-1, 2): T2 remainder beyond M is rem[:, 0] + Lambda rem[:, 1]
-    inv_tail2: np.ndarray      # n^-2, n = N+1..10N
-    zeta_j: np.ndarray         # zeta(2j, 10N+1) / j, j = 1.._ZETA_TERMS
+    zeta_j: np.ndarray         # zeta(2j, M+1) / j, j = 1.._ZETA_TERMS
 
 
 @lru_cache(maxsize=32)
@@ -151,11 +148,9 @@ def _modes(N: int) -> _Modes:
         ab_idx=np.stack((N - k, N + k)),
         col0_half=np.where(k == 0, 0.5, 1.0),
         inv_row_scale=1.0 / np.maximum(k, 1).astype(float)[:, None] ** 2,
-        z2=np.arange(N + 1, N + 1 + max(_SCHUR_TERMS + 4, M - N), dtype=float) ** 2,
-        n_disc=M - N,
+        z2=np.arange(N + 1, M + 1, dtype=float) ** 2,
         rem=np.stack((1.0 / (3.0 * Y**3) + 0.5 * ks * ks / (5.0 * Y**5), 2.0 / (5.0 * Y**5)), axis=-1),
-        inv_tail2=np.arange(N + 1, 10 * N + 1, dtype=float) ** -2.0,
-        zeta_j=zeta(2.0 * j, 10 * N + 1) / j,
+        zeta_j=zeta(2.0 * j, M + 1) / j,
     )
 
 
@@ -248,11 +243,11 @@ def hill_determinant(sp: SpectralParam, lam: complex, cfg: DiscriminantConfig | 
 def _tail_product_sq(lam: np.ndarray, N: int) -> np.ndarray:
     """prod_{n>N} (1 - Lambda/n^2)^2, exact to ~1e-15.
 
-    Finite part up to 10N, then the log of the remainder summed as
-    -sum_j Lambda^j zeta(2j, 10N+1) / j (Hurwitz zeta tails).
+    Finite part up to M, then the log of the remainder summed as
+    -sum_j Lambda^j zeta(2j, M+1) / j (Hurwitz zeta tails).
     """
     md = _modes(N)
-    finite = np.cumprod(1.0 - md.inv_tail2[:, None] * lam, axis=0)[-1]
+    finite = np.cumprod(1.0 - lam / md.z2[:, None], axis=0)[-1]
     acc = md.zeta_j[-1]
     for zj in md.zeta_j[-2::-1]:  # Horner's rule in Lambda
         acc = acc * lam + zj
@@ -275,22 +270,25 @@ def _geom_scan(y: np.ndarray, rpow: np.ndarray) -> np.ndarray:
 
 
 def _geom_lag_sums(f: np.ndarray, rpow: np.ndarray):
-    """(sum_{a<b} r^(b-a) f_a f_b, sum_{a<m<b} r^(b-a) f_a f_m f_b) for each column of f.
+    """(W1, W2, sum f suf, sum f pre suf) for each column of f.
 
-    rpow is the power table of r as in _geom_scan.  These are sum f suf
-    and sum f pre suf.  pre and suf are taken as the shifted scans
-    r fwd_{m-1} and r bwd_{m+1}, not as scan - f, which would lose all
-    relative accuracy to cancellation when |r| is tiny.  Both scans run
-    as one over f stacked with reversed f.
+    W1 = sum_a r^(a+1) f_a and W2 = 2 sum_{a<b} r^(b+1) f_a f_b.  rpow is
+    the power table of r as in _geom_scan, here up to r^L, L = len(f).
+    pre and suf are taken as the shifted scans r fwd_{m-1} and
+    r bwd_{m+1}, not as scan - f, which would lose all relative accuracy
+    to cancellation when |r| is tiny.  Both scans run as one over f
+    stacked with reversed f.
     """
     y = np.empty((len(f), 2) + f.shape[1:], dtype=complex)
     y[:, 0] = f
     y[:, 1] = f[::-1]
     fwd, bwd = _geom_scan(y, rpow[:, None])[:, 0], y[::-1, 1]
     fb = f[:-1] * bwd[1:]  # f_m bwd_{m+1}
+    W1 = rpow[1] * bwd[0]
+    W2 = 2.0 * _colsum(rpow[2 : len(f) + 1] * fb)
     pair = rpow[1] * _colsum(fb)
     triple = rpow[2] * _colsum(fwd[:-2] * fb[1:])
-    return pair, triple
+    return W1, W2, pair, triple
 
 
 def _corrected_scaled_det(s, kappa, lam, N: int) -> np.ndarray:
@@ -302,7 +300,7 @@ def _corrected_scaled_det(s, kappa, lam, N: int) -> np.ndarray:
     guarantees.
     """
     md = _modes(N)
-    J, L = _SCHUR_TERMS, md.n_disc
+    L = len(md.z2)
     s2 = s * s
     # the corrections are skipped where kappa vanishes or underflows, and
     # next to the cut ends, where the geometric sums do not converge
@@ -311,23 +309,22 @@ def _corrected_scaled_det(s, kappa, lam, N: int) -> np.ndarray:
     if active.any():
         kc = kappa * active  # a zero kappa zeroes both corrections exactly
         k2, k3 = kc**2, kc**3
-        s2pow = _powers(s2, len(md.z2) + 1)
+        s2pow = _powers(s2, L + 1)
         fz = 1.0 / (lam - md.z2[:, None])
+        W1, W2, pair, triple = _geom_lag_sums(fz, s2pow)
 
-        # rank-2 Schur update: W1 = sum_z w_z f_z and W2 = 2 sum_z w_z f_z
-        # sum_{y<z} f_y, with w_z = s^(2(z-N)) up to z = N+J and the
-        # summation-by-parts weights of the remainder after it.
+        # rank-2 Schur update.  W1 and W2 sum r^(a+1) g_a, g = f and
+        # g = 2 f sum_{b<a} f_b; summation by parts at the last four modes
+        # adds their tails past M by turning r^(a+1) into r^(L-3) c_k there.
         inv = 1.0 / (1.0 - s2)
-        w = s2pow[1 : J + 5].copy()
         r, tw = s2 * inv, _TAIL_WEIGHTS[:, :, None]
-        w[J:] = s2pow[J + 1] * inv * (((tw[3] * r + tw[2]) * r + tw[1]) * r + tw[0])
-        wf = w * fz[: J + 4]
-        W1 = _colsum(wf)
-        W2 = 2.0 * _colsum(wf[1:] * fz[: J + 3].cumsum(axis=0))
+        dw = s2pow[L - 3] * inv * (((tw[3] * r + tw[2]) * r + tw[1]) * r + tw[0]) - s2pow[L - 3 :]
+        dwf = dw * fz[-4:]
+        W1 = W1 + _colsum(dwf)
+        W2 = W2 + 2.0 * _colsum(dwf * np.cumsum(fz[:-1], axis=0)[-4:])
         wtot = k2 * W1 - k3 * W2
 
         # determinant of the discarded block: log = -T2/2 + T3/3
-        pair, triple = _geom_lag_sums(fz[:L], s2pow)
         R = _colsum(md.rem[:, :, None] * s2pow[1:L, None])
         T2 = 4.0 * k2 * (pair + R[0] + lam * R[1])
         T3 = 12.0 * k3 * triple

@@ -220,6 +220,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["circles", "--denominator", "0"],
+    ["circles", "--denominator", "-3"],
+    ["discriminant", "--c", "2", "--points", "-1"],
+    ["contour-c", "--d", "0.5", "--points-re", "-2"],
+    ["contour-mu", "--c", "2", "--points-im", "0"],
+], ids=["denominator-0", "denominator-neg", "points-neg", "points-re-neg", "points-im-0"])
+def test_non_positive_grid_size_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a positive integer" in captured.err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "data.csv"
     code, _ = run_cli(

@@ -21,7 +21,7 @@ from eulerhill import (
     s_at_origin,
     s_of_c,
 )
-from eulerhill.hill import _block_det, _geom_lag_sums, _geom_scan
+from eulerhill.hill import _block_det, _geom_lag_sums, _geom_scan, _tail_product_sq
 
 N16 = DiscriminantConfig(half_width=16)
 
@@ -122,43 +122,6 @@ def test_discriminant_exceeds_two_for_real_c():
         assert val.real > 2.0
 
 
-def test_three_by_three_closed_form():
-    """N=1 determinant equals the factored rational function of (kappa, d^2)."""
-    rng = np.random.default_rng(0)
-    cfg = DiscriminantConfig(half_width=1)
-    checked = 0
-    while checked < 50:
-        s = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-        if not 0.05 < abs(s) < 0.92:
-            continue
-        kappa = -(1.0 + s * s) / (1.0 - s * s)
-        c = (s + 1.0 / s) / 2.0
-        sp = s_of_c(c)
-        if abs(sp.s - s) > 1e-12:  # rounding put c on the other branch; skip
-            continue
-        d2 = rng.uniform(0.05, 1.3)
-        lam = 1.0 + kappa - d2
-        if min(abs(lam), abs(lam - 1.0)) < 1e-3:
-            continue
-        D = hill_determinant(sp, lam, cfg)
-        expected = (
-            d2 * ((2.0 + d2) * kappa - d2) * (3.0 * kappa**2 - d2 * kappa - 1.0 + d2)
-        ) / ((1.0 + kappa - d2) * (d2 - kappa) ** 2 * (1.0 - kappa) ** 2)
-        assert abs(D - expected) <= 1e-12 * max(1.0, abs(expected))
-        checked += 1
-
-
-def test_three_by_three_endpoint_roots():
-    # the last factor of the closed form vanishes at (d, kappa) = (1, 0)
-    # and (0, -1/sqrt(3))
-    f = lambda d2, kappa: 3.0 * kappa**2 - d2 * kappa - 1.0 + d2
-    assert abs(f(1.0, 0.0)) < 1e-15
-    assert abs(f(0.0, -1.0 / math.sqrt(3.0))) < 1e-15
-    # and those parameters correspond to c = 0 and c = i/sqrt(2)
-    assert s_at_origin(Side.UPPER).kappa == 0
-    assert abs(s_of_c(1j / math.sqrt(2.0)).kappa + 1.0 / math.sqrt(3.0)) < 1e-14
-
-
 def test_pole_freeness_at_integer_squares():
     c = 0.3 + 0.4j
     sp = s_of_c(c)
@@ -238,27 +201,47 @@ def test_geom_scan_and_lag_sums_match_brute_force(r):
         # rounding is bounded by the sum of the term magnitudes
         return abs(got - sum(terms)) <= 1e-13 * sum(abs(t) for t in terms)
 
-    rpow = np.array([[r**k] for k in range(L)])  # the scans read r^d from this table
+    rpow = np.array([[r**k] for k in range(L + 1)])  # the sums read r^d from this table
     y = _geom_scan(x[:, None].copy(), rpow)[:, 0]
     for i in range(L):
         assert close(y[i], [r ** (i - j) * x[j] for j in range(i + 1)])
+    w1 = [r ** (a + 1) * x[a] for a in range(L)]
+    w2 = [2.0 * r ** (b + 1) * x[a] * x[b] for a in range(L) for b in range(a + 1, L)]
     pair = [r ** (b - a) * x[a] * x[b] for a in range(L) for b in range(a + 1, L)]
     triple = [
         r ** (b - a) * x[a] * x[m] * x[b]
         for a in range(L) for m in range(a + 1, L) for b in range(m + 1, L)
     ]
-    got_pair, got_triple = _geom_lag_sums(x[:, None], rpow)
-    assert close(got_pair[0], pair)
-    assert close(got_triple[0], triple)
+    got = _geom_lag_sums(x[:, None], rpow)
+    for g, terms in zip(got, (w1, w2, pair, triple)):
+        assert close(g[0], terms)
+
+
+@pytest.mark.parametrize("N", [16, 48, 141])
+def test_tail_product_matches_mpmath(N):
+    """prod_{n>N} (1 - Lambda/n^2)^2 at the largest |Lambda| the half-width bump allows."""
+    mpmath = pytest.importorskip("mpmath")
+    lams = (N - 8) ** 2 / 2.5 * np.exp(1j * np.array([0.0, 2.0, math.pi]))
+    got = _tail_product_sq(lams, N)
+    with mpmath.workdps(30):
+        for g, lam in zip(got, lams):
+            lam = mpmath.mpc(lam)
+            finite = mpmath.fprod(1 - lam / n**2 for n in range(N + 1, 4001))
+            rest = -mpmath.fsum(lam**j * mpmath.zeta(2 * j, 4001) / j for j in range(1, 13))
+            want = complex((finite * mpmath.exp(rest)) ** 2)
+            assert abs(g - want) <= 1e-13 * abs(want), (lam, g, want)
 
 
 def test_near_cut_agrees_with_monodromy():
     # the default half-width loses accuracy near the cut; measured relative
-    # errors at these points are 1.7e-5 and 1.2e-4
-    for c, mu in ((0.9 + 0.01j, 0.36), (0.95 + 0.005j, 0.16)):
+    # errors at the first two points are 1.7e-5 and 1.2e-4.  At the last
+    # two |s| ~ 1, so the rank-2 Schur sums have tails past M that matter:
+    # 1.3e-7 and 3.0e-7, and 1.7e-6 and 4.1e-6 with the tails left out
+    for c, mu, tol in ((0.9 + 0.01j, 0.36, 2e-4), (0.95 + 0.005j, 0.16, 2e-4),
+                       (0.2 + 0.002j, 0.5, 1e-6), (0.3 + 0.001j, 0.5, 1e-6)):
         val = discriminant(s_of_c(c), mu)
         tr = integrate_monodromy(c, mu, tol=1e-11 * max(1.0, abs(val))).trace
-        assert abs(val - tr) <= 2e-4 * abs(tr), (c, mu, val, tr)
+        assert abs(val - tr) <= tol * abs(tr), (c, mu, val, tr)
 
 
 # c in the count boxes, and c within 1e-3 of a cut end, where the
