@@ -17,8 +17,8 @@ import numpy as np
 
 from .conformal import Side, s_at_origin, s_of_c
 from .euler import spectrum_report
-from .evans import (DEFAULT_SEARCH, _MAX_EVALS, _SEED, RootSearchConfig, _Budget, _evans_batch,
-                    _winding_retry, evans)
+from .evans import (_AXIS_PAD, _C_MAX, _MAX_EVALS, _SEED, DEFAULT_SEARCH, RootSearchConfig,
+                    _Budget, _evans_batch, _winding_retry, evans)
 from .hill import discriminant, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
 from .lattice import Wavevector, class_line_count, class_point, companion_basis
@@ -157,11 +157,11 @@ def jacobi_pairing(search, tol, cases):
 
 
 def annulus_windings(fs, search: RootSearchConfig) -> tuple:
-    """Windings of fs over the two bands (x0, 4 c_max) x (c_max, 4 c_max)
-    and (c_max, 4 c_max) x (eps_cut, c_max), which with the search box
-    (x0, c_max) x (eps_cut, c_max), x0 = -pad, tile (x0, 4 c_max) x
-    (eps_cut, 4 c_max); fs is a list evaluator as in evans._winding."""
-    c, x0, y0 = search.c_max, -search.pad, search.eps_cut
+    """Windings of fs over the two bands (x0, 4 c) x (c, 4 c) and
+    (c, 4 c) x (eps_cut, c), which with the search box (x0, c) x
+    (eps_cut, c), c = _C_MAX and x0 = -_AXIS_PAD, tile (x0, 4 c) x
+    (eps_cut, 4 c); fs is a list evaluator as in evans._winding."""
+    c, x0, y0 = _C_MAX, -_AXIS_PAD, search.eps_cut
     cache: dict = {}
     budget = _Budget(_MAX_EVALS)
     rng = np.random.default_rng(_SEED)

@@ -7,6 +7,7 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -29,7 +30,7 @@ DEFAULTS_ENV = "EULERHILL_DEFAULTS"
 #: global settings by defaults-file key, with their types; each key is
 #: also a flag (--half-width for half_width), except --format for fmt
 SETTINGS = {"half_width": int, "integrator_tol": float, "root_tol": float,
-            "c_max": float, "eps_cut": float, "out": str, "fmt": str}
+            "eps_cut": float, "out": str, "fmt": str}
 
 FORMATS = ("csv", "json")
 
@@ -45,9 +46,19 @@ def fmt_float(x: float) -> str:
 
 def parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        z = complex(text.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return z
+
+
+def finite_float(text: str) -> float:
+    x = float(text)  # argparse reports a ValueError as an invalid value
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return x
 
 
 def positive_int(text: str) -> int:
@@ -263,14 +274,14 @@ def _apply_settings(args) -> None:
         args.fmt = "csv"
     if args.fmt not in FORMATS:
         raise ValueError(f"fmt must be one of {', '.join(FORMATS)}, got {args.fmt!r}")
-    if args.integrator_tol is not None and not args.integrator_tol > 0.0:
-        raise ValueError(f"integrator_tol must be positive, got {args.integrator_tol}")
+    if args.integrator_tol is not None and not 0.0 < args.integrator_tol < math.inf:
+        raise ValueError(f"integrator_tol must be positive and finite, got {args.integrator_tol}")
 
     def given(*keys):
         return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
     args.search = RootSearchConfig(disc=DiscriminantConfig(**given("half_width")),
-                                   **given("c_max", "eps_cut", "root_tol"))
+                                   **given("eps_cut", "root_tol"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,27 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("discriminant", help="Delta(mu) on a real mu grid")
     s.add_argument("--c", type=parse_complex, required=True)
-    s.add_argument("--mu-min", type=float, default=-6.0)
-    s.add_argument("--mu-max", type=float, default=2.0)
+    s.add_argument("--mu-min", type=finite_float, default=-6.0)
+    s.add_argument("--mu-max", type=finite_float, default=2.0)
     s.add_argument("--points", type=positive_int, default=400)
     s.set_defaults(fn=cmd_discriminant)
 
     s = sub.add_parser("contour-c", help="Delta(d^2; c) on a complex-c grid")
-    s.add_argument("--d", type=float, required=True)
-    s.add_argument("--re-min", type=float, default=-1.5)
-    s.add_argument("--re-max", type=float, default=1.5)
-    s.add_argument("--im-min", type=float, default=0.01)
-    s.add_argument("--im-max", type=float, default=1.5)
+    s.add_argument("--d", type=finite_float, required=True)
+    s.add_argument("--re-min", type=finite_float, default=-1.5)
+    s.add_argument("--re-max", type=finite_float, default=1.5)
+    s.add_argument("--im-min", type=finite_float, default=0.01)
+    s.add_argument("--im-max", type=finite_float, default=1.5)
     s.add_argument("--points-re", type=positive_int, default=60)
     s.add_argument("--points-im", type=positive_int, default=40)
     s.set_defaults(fn=cmd_contour_c)
 
     s = sub.add_parser("contour-mu", help="Delta(mu; c) on a complex-mu grid")
     s.add_argument("--c", type=parse_complex, required=True)
-    s.add_argument("--re-min", type=float, default=-1.0)
-    s.add_argument("--re-max", type=float, default=1.5)
-    s.add_argument("--im-min", type=float, default=-1.0)
-    s.add_argument("--im-max", type=float, default=1.0)
+    s.add_argument("--re-min", type=finite_float, default=-1.0)
+    s.add_argument("--re-max", type=finite_float, default=1.5)
+    s.add_argument("--im-min", type=finite_float, default=-1.0)
+    s.add_argument("--im-max", type=finite_float, default=1.0)
     s.add_argument("--points-re", type=positive_int, default=60)
     s.add_argument("--points-im", type=positive_int, default=40)
     s.set_defaults(fn=cmd_contour_mu)

@@ -64,12 +64,14 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-# Fixed search settings: the half-width of the axis strip and the axis
-# snap tolerance as fractions of c_max, the Newton steps per root, the
-# jittered retries of a contour that hits a zero and their rng seed, the
-# evaluations of one search, and the samples that end a walk's refining.
-_AXIS_PAD = 0.0171
-_SNAP_TOL = 1e-8
+# Fixed search settings: the outer edge of the search box, past Howard's
+# bound |c| <= 1, the half-width of the axis strip, the axis snap
+# tolerance, the Newton steps per root, the jittered retries of a contour
+# that hits a zero and their rng seed, the evaluations of one search, and
+# the samples that end a walk's refining.
+_C_MAX = 2.0
+_AXIS_PAD = 0.0342
+_SNAP_TOL = 2e-8
 _NEWTON_STEPS = 80
 _RETRIES = 6
 _SEED = 20250810
@@ -79,37 +81,27 @@ _MAX_PTS = 20000
 
 @dataclass(frozen=True)
 class RootSearchConfig:
-    """Geometry, tolerances and budgets for the winding-number search.
+    """Tolerances and budgets for the winding-number search.
 
-    The search box is (-pad, c_max) x (eps_cut, c_max).  Every root off
-    the real axis has |c| <= 1 (Howard's semicircle theorem, in the
-    module docstring), so c_max must exceed 1 and then no root lies
-    beyond the box; `eulerhill verify --level full` walks the annulus
-    out to 4 c_max to check that.  Roots are seeded from the contour
-    moments of the search box's walk, not isolated by subdividing it,
-    so there is no depth limit.  Fixed, not settable: _AXIS_PAD,
+    The search box is (-_AXIS_PAD, _C_MAX) x (eps_cut, _C_MAX), fixed
+    but for eps_cut.  Every root off the real axis has |c| <= 1 (Howard's
+    semicircle theorem, in the module docstring), so no root lies beyond
+    the box; `eulerhill verify --level full` walks the annulus out to
+    4 _C_MAX to check that.  Roots are seeded from the contour moments
+    of the search box's walk, not isolated by subdividing it, so there
+    is no depth limit.  Fixed, not settable: _C_MAX, _AXIS_PAD,
     _SNAP_TOL, _NEWTON_STEPS, _RETRIES, _SEED, _MAX_EVALS and _MAX_PTS.
     """
 
-    c_max: float = 2.0
     eps_cut: float = 1e-3
     root_tol: float = 1e-10
     disc: DiscriminantConfig = field(default_factory=DiscriminantConfig)
 
     def __post_init__(self):
-        if not self.c_max > 1.0:
-            raise ValueError(
-                f"c_max must exceed 1, the bound on |c| of every root, got {self.c_max}")
-        if not 0.0 < self.eps_cut < self.c_max:
-            raise ValueError(
-                f"eps_cut must lie in (0, c_max = {self.c_max}), got {self.eps_cut}"
-            )
-        if not self.root_tol > 0.0:
-            raise ValueError(f"root_tol must be positive, got {self.root_tol}")
-
-    @property
-    def pad(self) -> float:
-        return _AXIS_PAD * self.c_max
+        if not 0.0 < self.eps_cut < _C_MAX:
+            raise ValueError(f"eps_cut must lie in (0, {_C_MAX}), got {self.eps_cut}")
+        if not 0.0 < self.root_tol < math.inf:
+            raise ValueError(f"root_tol must be positive and finite, got {self.root_tol}")
 
 
 DEFAULT_SEARCH = RootSearchConfig()
@@ -166,11 +158,10 @@ def _edge_points(a: complex, b: complex):
     if horizontal:
         level, ta, tb = a.imag, a.real, b.real
         fine, zone = abs(level) <= 0.2, 1.1
-        h = max(2.0 * abs(level), 0.004)
     else:
         level, ta, tb = a.real, a.imag, b.imag
         fine, zone = abs(level) < 0.15, 1.3
-        h = max(2.0 * abs(level), 0.004) if abs(level) > 1e-12 else 0.01
+    h = max(2.0 * abs(level), 0.004)
     lo, hi = min(ta, tb), max(ta, tb)
     coarse = (hi - lo) / 12.0
     knots = [lo]
@@ -307,30 +298,26 @@ class EvansRootSet:
     roots: tuple  # ((c, multiplicity), ...) closed under c -> -c, conj
     region_predicted: RegionTag | None
     box: tuple
-    winding_total: int
-
-    @property
-    def count(self) -> int:
-        """Total root count with multiplicity over all four quadrants."""
-        return self.winding_total
+    count: int  # total root count with multiplicity over all four quadrants
 
 
 def _count_windings(f, cfg, cache, budget, rng):
-    """Windings of box A = (-pad, c_max) x (eps_cut, c_max) and of box B.
+    """Windings of box A = (-pad, _C_MAX) x (eps_cut, _C_MAX) and of box B.
 
     Box A holds every root of the closed first quadrant above eps_cut:
     by Howard's semicircle theorem (module docstring) every root has
-    |c| <= 1 < c_max, so nothing beyond the box is walked.  Box B is the
-    part of A right of x = pad.  It is not walked: S = A left of that
-    line shares A's left edge and most of its bottom edge, and
-    w_B = w_A - w_S.  S's right edge x = pad mirrors A's left edge, and
-    A's bottom-edge samples on (-pad, 0) mirror those on (0, pad), so
-    _winding evaluates each of those pairs once.  A contour hit on S
-    moves only the dividing line, so S and B still partition A.  Returns
-    (w_A, w_B, box A after any jitter, box A's final walk).
+    |c| <= 1 < _C_MAX, so nothing beyond the box is walked.  Box B is
+    the part of A right of x = pad, with pad = _AXIS_PAD.  It is not
+    walked: S = A left of that line shares A's left edge and most of its
+    bottom edge, and w_B = w_A - w_S.  S's right edge x = pad mirrors
+    A's left edge, and A's bottom-edge samples on (-pad, 0) mirror those
+    on (0, pad), so _winding evaluates each of those pairs once.  A
+    contour hit on S moves only the dividing line, so S and B still
+    partition A.  Returns (w_A, w_B, box A after any jitter, box A's
+    final walk).
     """
-    pad = cfg.pad
-    wa, walk, box_a = _winding_retry(f, (-pad, cfg.c_max, cfg.eps_cut, cfg.c_max),
+    pad = _AXIS_PAD
+    wa, walk, box_a = _winding_retry(f, (-pad, _C_MAX, cfg.eps_cut, _C_MAX),
                                      cache, budget, rng)
     x0, _, y0, y1 = box_a
     for attempt in range(_RETRIES + 1):
@@ -423,7 +410,6 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
     f = lambda c: evans(c, theta, d, cfg.disc)
 
     seeds = _moment_seeds(*walk, wa)
-    snap = _SNAP_TOL * cfg.c_max
     found: list = []
     for seed in seeds:
         z, res = _newton(f, fs, seed, cfg, budget)
@@ -432,8 +418,8 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
                 f"Newton stalled at |E| = {res:.2e} near {z:.4f} from the moment seed "
                 f"{seed:.4f} of box A {box_a} at (theta={theta}, d={d})"
             )
-        z = complex(abs(z.real) if abs(z.real) > snap else 0.0, abs(z.imag))
-        if all(abs(z - u) > snap for u in found):
+        z = complex(abs(z.real) if abs(z.real) > _SNAP_TOL else 0.0, abs(z.imag))
+        if all(abs(z - u) > _SNAP_TOL for u in found):
             found.append(z)
 
     x0, x1, y0, y1 = box_a
@@ -462,7 +448,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
         roots=roots,
         region_predicted=region,
         box=box_a,
-        winding_total=total,
+        count=total,
     )
 
 

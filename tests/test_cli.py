@@ -166,9 +166,9 @@ def test_evans_roots_bad_class_data_is_a_usage_error(theta, d, name, capsys):
       "--points-im", "2"], 0, ""),
     (["spectrum", "--p", "-1,2", "--count-only"], 0, ""),
     (["evans-roots", "--theta", "-inf", "--d", "0.6"], 2, "error: theta must be finite"),
-    (["--c-max", "-inf", "spectrum", "--p", "1,2", "--count-only"], 2,
-     "error: c_max must exceed 1"),
-], ids=["theta-exponent", "complex-c", "re-min", "pair", "theta-inf", "global-c-max"])
+    (["--eps-cut", "-inf", "spectrum", "--p", "1,2", "--count-only"], 2,
+     "error: eps_cut must lie"),
+], ids=["theta-exponent", "complex-c", "re-min", "pair", "theta-inf", "global-eps-cut"])
 def test_negative_flag_values_are_values(argv, code, err, capsys):
     # argparse takes a token such as -1e-3, -inf, -0.5+0.1j or -1,2 for a flag
     assert main(argv) == code
@@ -215,9 +215,31 @@ def test_closed_pipe_exits_1_without_traceback():
 
 
 def test_usage_error_exit_code():
+    # Howard's bound fixes the search box's outer edge, so --c-max is no flag
+    for argv in (["spectrum", "--p", "not-a-pair"], ["--c-max", "2", "spectrum", "--p", "1,2"],
+                 ["--c-max=2", "spectrum", "--p", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["discriminant", "--c", "nan"],
+    ["discriminant", "--c", "2", "--mu-min", "nan"],
+    ["discriminant", "--c", "2", "--mu-max", "inf"],
+    ["contour-c", "--d", "inf"],
+    ["contour-c", "--d", "0.5", "--im-min", "nan"],
+    ["contour-c", "--d", "0.5", "--re-min", "-inf"],
+    ["contour-mu", "--c", "0.5+0.5j", "--re-min", "inf"],
+    ["contour-mu", "--c", "0.5+1e400j"],
+], ids=["c-nan", "mu-min-nan", "mu-max-inf", "d-inf", "im-min-nan", "re-min-neg-inf",
+        "mu-re-min-inf", "c-overflow"])
+def test_non_finite_flag_value_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--p", "not-a-pair"])
+        main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a finite number" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,18 +290,16 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags, file_values, name", [
     (["--half-width", "0"], None, "half_width"),
-    (["--c-max", "-1"], None, "c_max"),
+    (["--root-tol", "inf"], None, "root_tol"),
     (["--eps-cut", "5"], None, "eps_cut"),
     (["--integrator-tol", "-1"], None, "integrator_tol"),
     ([], {"half_width": "8"}, "half_width"),
     ([], {"half_width": 8.5}, "half_width"),
-    ([], {"c_max": True}, "c_max"),
+    ([], {"c_max": 2.0}, "c_max"),  # no setting: Howard's bound fixes the box
     ([], {"fmt": "xml"}, "fmt"),
     ([], {"normalize": True}, "normalize"),
     ([], "{not json", "EULERHILL_DEFAULTS"),
-    # every root has |c| <= 1, so the search box must reach beyond it
-    (["--c-max", "1"], None, "c_max"),
-    ([], {"c_max": 0.9}, "c_max"),
+    (["--integrator-tol", "inf"], None, "integrator_tol"),
 ])
 def test_bad_settings_exit_2(flags, file_values, name, tmp_path, capsys, monkeypatch):
     if file_values is not None:

@@ -142,3 +142,13 @@ def test_flagship_spectrum_with_roots_matches_count_only_report():
         cls["roots_c"] = cls["roots_lambda"] = []
     golden = Path(__file__).parent / "data" / "spectrum_4_5_count_only.json"
     assert report == json.loads(golden.read_text())
+
+
+def test_count_only_report_past_p_sq_100_is_as_committed():
+    # p^2 = 113: k = 1 has d = 0.00885 in region II, the smallest d of any
+    # class the tests count; the file is the output of
+    # `eulerhill --format json spectrum --p 7,8 --count-only`
+    report = spectrum_report(Wavevector(7, 8), count_only=True)
+    golden = Path(__file__).parent / "data" / "spectrum_7_8_count_only.json"
+    assert report.sharp
+    assert report_to_json(report) + "\n" == golden.read_text()

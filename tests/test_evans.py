@@ -33,6 +33,9 @@ from eulerhill import checks
 import eulerhill.evans as evans_mod
 from eulerhill.evans import _edge_points, evans
 
+#: the search box's axis pad and outer edge
+_PAD, _C = evans_mod._AXIS_PAD, evans_mod._C_MAX
+
 N16 = DiscriminantConfig(half_width=16)
 
 
@@ -248,7 +251,7 @@ def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
     assert count_roots(0.4, 0.6) == 4
     # the first corner (-pad, eps_cut) is evaluated as its twin (pad, eps_cut)
     twin = batches[0][0]
-    assert twin == complex(RootSearchConfig().pad, RootSearchConfig().eps_cut)
+    assert twin == complex(_PAD, RootSearchConfig().eps_cut)
     assert twin not in batches[1]  # the retry walks a jittered rectangle
     assert batches[1][0].real > twin.real and batches[1][0].imag < twin.imag
 
@@ -281,7 +284,7 @@ def test_unjittered_count_evaluates_no_point_left_of_the_axis(monkeypatch):
 
 
 def test_every_root_lies_in_the_unit_disk():
-    # Howard's semicircle theorem, the reason no walk goes beyond c_max
+    # Howard's semicircle theorem, the reason no walk goes beyond _C_MAX
     classes = [(cp.theta, cp.d, cp.region) for pp in ((1, 2), (2, 3), (1, 3))
                for cp in _class_points(Wavevector(*pp))]
     # off-lattice draws 5 eps_cut or more from the three unit circles (and
@@ -362,12 +365,14 @@ def test_find_roots_takes_the_exact_region_of_class_data():
     assert rs.count == 2 and rs.region_predicted == RegionTag.BOUNDARY_I_II
 
 
-@pytest.mark.parametrize("k", [1, 34])
-def test_find_roots_pairs_with_the_operator_on_hard_classes(k):
-    # k = 1: a root next to c = 1, far above eps_cut, that no unit-winding
-    # cell split could isolate; k = 34: a root inside the axis pad, whose
-    # mirror -conj(z) is in box A too
-    assert cross_validate(Wavevector(4, 5), k, M=400, pair_tol=1e-6)["count"] == 4
+@pytest.mark.parametrize("p, k, M", [((4, 5), 1, 400), ((4, 5), 34, 400), ((7, 8), 1, 452)],
+                         ids=["1", "34", "p78-1"])
+def test_find_roots_pairs_with_the_operator_on_hard_classes(p, k, M):
+    # (4,5) k = 1: a root next to c = 1, far above eps_cut, that no
+    # unit-winding cell split could isolate; k = 34: a root inside the
+    # axis pad, whose mirror -conj(z) is in box A too; (7,8) k = 1, with
+    # d = 0.00885 in region II, at M = 4 p^2: a root still nearer c = 1
+    assert cross_validate(Wavevector(*p), k, M=M, pair_tol=1e-6)["count"] == 4
 
 
 def test_root_and_its_mirror_inside_the_axis_pad():
@@ -375,7 +380,7 @@ def test_root_and_its_mirror_inside_the_axis_pad():
     cp = class_point(p, companion_basis(p), 34)
     rs = find_roots(cp.theta, cp.d, expected_region=cp.region)
     assert len(rs.roots) == 4
-    assert all(0.0 < abs(c.real) < RootSearchConfig().pad for c, _ in rs.roots)
+    assert all(0.0 < abs(c.real) < _PAD for c, _ in rs.roots)
 
 
 # first-quadrant roots of off-lattice draws, as recursive subdivision found
@@ -401,18 +406,12 @@ def test_find_roots_near_the_axis_and_the_cut(theta, d):
 def test_search_box_must_be_well_formed():
     # an empty or inverted box would count roots wrongly without an error,
     # and eps_cut <= 0 reaches the cut
-    for bad, name in ((dict(c_max=-1.0), "c_max"), (dict(c_max=0.0), "c_max"),
-                      (dict(c_max=math.nan), "c_max"), (dict(eps_cut=5.0), "eps_cut"),
-                      (dict(eps_cut=2.0), "eps_cut"), (dict(eps_cut=-0.01), "eps_cut"),
-                      (dict(eps_cut=0.0), "eps_cut"), (dict(eps_cut=math.nan), "eps_cut"),
-                      (dict(c_max=1.0), "c_max"), (dict(c_max=0.5), "c_max"),
-                      (dict(c_max=4e-4, eps_cut=2e-4), "c_max"),
-                      (dict(c_max=1.5, eps_cut=1.5), "eps_cut"),
-                      (dict(root_tol=0.0), "root_tol"), (dict(root_tol=-1.0), "root_tol")):
+    for bad, name in ((dict(eps_cut=5.0), "eps_cut"), (dict(eps_cut=2.0), "eps_cut"),
+                      (dict(eps_cut=-0.01), "eps_cut"), (dict(eps_cut=0.0), "eps_cut"),
+                      (dict(eps_cut=math.nan), "eps_cut"), (dict(root_tol=0.0), "root_tol"),
+                      (dict(root_tol=-1.0), "root_tol"), (dict(root_tol=math.inf), "root_tol")):
         with pytest.raises(ValueError, match=f"^{name} "):
             RootSearchConfig(**bad)
-    assert RootSearchConfig().pad == 0.0171 * 2.0
-    assert RootSearchConfig(c_max=1.05).c_max == 1.05
 
 
 def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypatch):
@@ -446,7 +445,7 @@ def _classes(*ps):
 
 def test_strip_difference_equals_walking_box_b():
     cfg = RootSearchConfig()
-    pad, c_max, eps = cfg.pad, cfg.c_max, cfg.eps_cut
+    eps = cfg.eps_cut
     seen = set()
     for theta, d in _classes(Wavevector(1, 2), Wavevector(2, 3)) + [(0.4, 0.6)]:
         def fs(cs):
@@ -454,8 +453,8 @@ def test_strip_difference_equals_walking_box_b():
         wa, wb, box_a, _ = evans_mod._count_windings(
             fs, cfg, {}, evans_mod._Budget(evans_mod._MAX_EVALS),
             np.random.default_rng(evans_mod._SEED))
-        assert box_a == (-pad, c_max, eps, c_max)  # not jittered: B is the fixed box
-        direct, _ = evans_mod._winding(fs, (pad, c_max, eps, c_max), {},
+        assert box_a == (-_PAD, _C, eps, _C)  # not jittered: B is the fixed box
+        direct, _ = evans_mod._winding(fs, (_PAD, _C, eps, _C), {},
                                        evans_mod._Budget(evans_mod._MAX_EVALS))
         assert wb == direct, (theta, d, wa, wb, direct)
         seen.add(direct)
@@ -472,10 +471,9 @@ def _rect_edges(x0, x1, y0, y1):
 # full` walks
 _COUNT_EDGES = [
     edge
-    for eps, c_max in ((1e-3, 2.0), (5e-4, 2.0))
-    for pad in (0.0171 * c_max,)
-    for rect in ((-pad, c_max, eps, c_max), (-pad, pad, eps, c_max),
-                 (-pad, 4 * c_max, c_max, 4 * c_max), (c_max, 4 * c_max, eps, c_max))
+    for eps in (1e-3, 5e-4)
+    for rect in ((-_PAD, _C, eps, _C), (-_PAD, _PAD, eps, _C),
+                 (-_PAD, 4 * _C, _C, 4 * _C), (_C, 4 * _C, eps, _C))
     for edge in _rect_edges(*rect)
 ]
 
@@ -514,10 +512,9 @@ def test_edge_points_depend_only_on_the_edge(edge, u):
     # the spacing rule of the direction-dependent walk this replaced
     if horizontal:
         fine, zone = abs(level) <= 0.2, 1.1
-        h = max(2.0 * abs(level), 0.004)
     else:
         fine, zone = abs(level) < 0.15, 1.3
-        h = max(2.0 * abs(level), 0.004) if abs(level) > 1e-12 else 0.01
+    h = max(2.0 * abs(level), 0.004)
     ts = sorted(along(z) for z in set(forward) | {b})
     lo, hi = ts[0], ts[-1]
     coarse = (hi - lo) / 12.0
@@ -544,10 +541,8 @@ def test_edge_points_depend_only_on_the_edge(edge, u):
 def _search_edge_points():
     # box A and the strip at the default eps_cut and at a user-set one of
     # 5e-4, their bottom edges next to the cut
-    cfg = RootSearchConfig()
-    pad, c_max = cfg.pad, cfg.c_max
-    return sorted({z for eps in (cfg.eps_cut, 5e-4)
-                   for rect in ((-pad, c_max, eps, c_max), (-pad, pad, eps, c_max))
+    return sorted({z for eps in (RootSearchConfig().eps_cut, 5e-4)
+                   for rect in ((-_PAD, _C, eps, _C), (-_PAD, _PAD, eps, _C))
                    for a, b in _rect_edges(*rect) for z in _edge_points(a, b)},
                   key=lambda z: (z.real, z.imag))
 
