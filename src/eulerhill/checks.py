@@ -17,8 +17,8 @@ import numpy as np
 
 from .conformal import Side, s_at_origin, s_of_c
 from .euler import spectrum_report
-from .evans import (_AXIS_PAD, _C_MAX, _MAX_EVALS, _SEED, DEFAULT_SEARCH, RootSearchConfig,
-                    _Budget, _evans_batch, _winding_retry, evans)
+from .evans import (_AXIS_PAD, _C_MAX, _SEED, DEFAULT_SEARCH, RootSearchConfig, _evans_batch,
+                    _winding_retry, evans)
 from .hill import discriminant, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
 from .lattice import Wavevector, class_line_count, class_point, companion_basis
@@ -35,12 +35,11 @@ SMALL_P = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3),
 class Check:
     name: str
     inputs: dict  # level -> keyword arguments of fn
-    fn: Callable  # fn(search, tol, **inputs) -> (ok, detail)
+    fn: Callable  # fn(search, **inputs) -> (ok, detail)
 
-    def run(self, level: str, search: RootSearchConfig = DEFAULT_SEARCH,
-            tol: float = DEFAULT_TOL) -> tuple:
-        """(ok, detail) on the level's inputs; tol is the RK4 tolerance."""
-        return self.fn(search, tol, **self.inputs[level])
+    def run(self, level: str, search: RootSearchConfig = DEFAULT_SEARCH) -> tuple:
+        """(ok, detail) on the level's inputs."""
+        return self.fn(search, **self.inputs[level])
 
 
 def _check(name: str, **inputs):
@@ -48,7 +47,7 @@ def _check(name: str, **inputs):
 
 
 @_check("closed form at c=0", quick=dict(n=50), full=dict(n=200))
-def closed_form_origin(search, tol, n):
+def closed_form_origin(search, n):
     sp = s_at_origin(Side.UPPER)
     worst = 0.0
     for d in np.linspace(0.0, 1.0, n):
@@ -62,10 +61,10 @@ def closed_form_origin(search, tol, n):
         full=dict(points=tuple((c, mu)
                                for c in (2.0, 0.2j, 1j / math.sqrt(2.0), 0.1 + 0.2j, 0.5 + 0.7j)
                                for mu in (0.0, 0.09, 0.25, 0.5, 1.0))))
-def oracle_agreement(search, tol, points):
+def oracle_agreement(search, points):
     worst = 0.0
     for c, mu in points:
-        tr = integrate_monodromy(c, mu, tol=tol).trace
+        tr = integrate_monodromy(c, mu).trace
         worst = max(worst, abs(discriminant(s_of_c(c), mu, search.disc) - tr))
     return worst <= 1e-6, f"worst |Delta_det - trace| = {worst:.2e}"
 
@@ -73,7 +72,7 @@ def oracle_agreement(search, tol, points):
 @_check("slope formula",
         quick=dict(cs=(2.0, 3j, 0.5 + 0.7j), flat=()),
         full=dict(cs=(2.0, 3j, 0.5 + 0.7j), flat=(1j / math.sqrt(2.0),)))
-def slope_formula(search, tol, cs, flat):
+def slope_formula(search, cs, flat):
     """Centred differences of Delta at mu = 0 against the closed form,
     relative; at the points of flat the slope itself must vanish."""
     h = 1e-5
@@ -94,7 +93,7 @@ def slope_formula(search, tol, cs, flat):
 
 
 @_check("operator vs lattice counts", quick=dict(ps=((1, 2),)), full=dict(ps=SMALL_P))
-def jacobi_counts(search, tol, ps):
+def jacobi_counts(search, ps):
     """Operator eigenvalue count equals twice the interior lattice points per class."""
     for pp in ps:
         p = Wavevector(*pp)
@@ -113,7 +112,7 @@ def jacobi_counts(search, tol, ps):
                   axis_class=(0.3, 0.5),
                   axis=tuple(1j * np.linspace(0.1, 1.5, 8)) + tuple(np.linspace(1.1, 4.0, 8)),
                   wronskian=((2.0, 0.3), (0.2j, 0.5), (0.4 + 0.6j, 0.8))))
-def symmetries(search, tol, seed, n, im_min, theta, d, axis_class=None, axis=(), wronskian=()):
+def symmetries(search, seed, n, im_min, theta, d, axis_class=None, axis=(), wronskian=()):
     """E(conj c) = conj E(c) at n random c of the class (theta, d), E real
     at the axis points of axis_class, and unit determinant of the RK4
     monodromy at the (c, mu) of wronskian."""
@@ -128,15 +127,14 @@ def symmetries(search, tol, seed, n, im_min, theta, d, axis_class=None, axis=(),
     real = max((abs(evans(c, *axis_class, search.disc).imag) for c in axis), default=0.0)
     if axis:
         detail += f", axis reality {real:.1e}"
-    det = max((abs(integrate_monodromy(c, mu, tol=tol).det - 1.0) for c, mu in wronskian),
-              default=0.0)
+    det = max((abs(integrate_monodromy(c, mu).det - 1.0) for c, mu in wronskian), default=0.0)
     if wronskian:
         detail += f", Wronskian {det:.1e}"
-    return conj <= 1e-10 and real <= 1e-9 and det <= 10 * tol, detail
+    return conj <= 1e-10 and real <= 1e-9 and det <= 10 * DEFAULT_TOL, detail
 
 
 @_check("sharpness at small p", full=dict(ps=SMALL_P, totals={(1, 1): 8, (1, 2): 24}))
-def sharpness(search, tol, ps, totals):
+def sharpness(search, ps, totals):
     """Count-only spectra are sharp, with the stated totals."""
     found = {pp: spectrum_report(Wavevector(*pp), search, count_only=True) for pp in ps}
     ok = all(r.sharp for r in found.values()) and all(
@@ -146,7 +144,7 @@ def sharpness(search, tol, ps, totals):
 
 
 @_check("operator vs evans pairing", full=dict(cases=(((1, 1), 60), ((1, 2), 75))))
-def jacobi_pairing(search, tol, cases):
+def jacobi_pairing(search, cases):
     """Operator eigenvalues pair with Evans roots, per class, at half-width M."""
     worst = 0.0
     for pp, M in cases:
@@ -163,14 +161,13 @@ def annulus_windings(fs, search: RootSearchConfig) -> tuple:
     (eps_cut, 4 c); fs is a list evaluator as in evans._winding."""
     c, x0, y0 = _C_MAX, -_AXIS_PAD, search.eps_cut
     cache: dict = {}
-    budget = _Budget(_MAX_EVALS)
     rng = np.random.default_rng(_SEED)
-    return tuple(_winding_retry(fs, band, cache, budget, rng)[0]
+    return tuple(_winding_retry(fs, band, cache, rng)[0]
                  for band in ((x0, 4 * c, c, 4 * c), (c, 4 * c, y0, c)))
 
 
 @_check("no roots beyond the search box", full=dict(ps=SMALL_P))
-def beyond_the_box(search, tol, ps):
+def beyond_the_box(search, ps):
     """Winding 0 on both annulus bands beyond the search box, per class:
     Howard's bound |c| <= 1 (evans module docstring), which lets the
     root search skip this walk, checked by the walk itself."""

@@ -29,8 +29,7 @@ DEFAULTS_ENV = "EULERHILL_DEFAULTS"
 
 #: global settings by defaults-file key, with their types; each key is
 #: also a flag (--half-width for half_width), except --format for fmt
-SETTINGS = {"half_width": int, "integrator_tol": float, "root_tol": float,
-            "eps_cut": float, "out": str, "fmt": str}
+SETTINGS = {"half_width": int, "eps_cut": float, "out": str, "fmt": str}
 
 FORMATS = ("csv", "json")
 
@@ -173,11 +172,7 @@ def cmd_circles(args) -> int:
 
 
 def cmd_evans_roots(args) -> int:
-    try:
-        rs = find_roots(args.theta, args.d, args.search)
-    except ValueError as exc:  # a non-finite --theta, or a negative or non-finite --d
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = find_roots(args.theta, args.d, args.search)
     if args.fmt == "json":
         payload = {
             "schema_version": euler_mod.SCHEMA_VERSION,
@@ -223,13 +218,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = {} if args.integrator_tol is None else {"tol": args.integrator_tol}
     failures = 0
     for check in checks.CHECKS:
         if args.level not in check.inputs:
             continue
         try:
-            ok, detail = check.run(args.level, args.search, **tol)
+            ok, detail = check.run(args.level, args.search)
         except EulerHillError as exc:
             ok, detail = False, str(exc)
         print(f"[{'ok' if ok else 'FAIL'}] {check.name}: {detail}")
@@ -274,14 +268,12 @@ def _apply_settings(args) -> None:
         args.fmt = "csv"
     if args.fmt not in FORMATS:
         raise ValueError(f"fmt must be one of {', '.join(FORMATS)}, got {args.fmt!r}")
-    if args.integrator_tol is not None and not 0.0 < args.integrator_tol < math.inf:
-        raise ValueError(f"integrator_tol must be positive and finite, got {args.integrator_tol}")
 
     def given(*keys):
         return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
     args.search = RootSearchConfig(disc=DiscriminantConfig(**given("half_width")),
-                                   **given("eps_cut", "root_tol"))
+                                   **given("eps_cut"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,14 +359,12 @@ def main(argv=None) -> int:
 
     try:
         _apply_settings(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         code = args.fn(args)
         sys.stdout.flush()
         return code
+    except ValueError as exc:  # a setting, class data or Lambda out of range
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so the flush at
         # exit cannot raise again

@@ -66,13 +66,15 @@ TWO_PI = 2.0 * math.pi
 
 # Fixed search settings: the outer edge of the search box, past Howard's
 # bound |c| <= 1, the half-width of the axis strip, the axis snap
-# tolerance, the Newton steps per root, the jittered retries of a contour
-# that hits a zero and their rng seed, the evaluations of one search, and
-# the samples that end a walk's refining.
+# tolerance, the Newton steps per root and the |E| that ends them, the
+# jittered retries of a contour that hits a zero and their rng seed, the
+# distinct points the walks of one search may evaluate, and the samples
+# at which a walk that is still unresolved raises.
 _C_MAX = 2.0
 _AXIS_PAD = 0.0342
 _SNAP_TOL = 2e-8
 _NEWTON_STEPS = 80
+_ROOT_TOL = 1e-10
 _RETRIES = 6
 _SEED = 20250810
 _MAX_EVALS = 60000
@@ -81,7 +83,7 @@ _MAX_PTS = 20000
 
 @dataclass(frozen=True)
 class RootSearchConfig:
-    """Tolerances and budgets for the winding-number search.
+    """The settable parts of the winding-number search.
 
     The search box is (-_AXIS_PAD, _C_MAX) x (eps_cut, _C_MAX), fixed
     but for eps_cut.  Every root off the real axis has |c| <= 1 (Howard's
@@ -90,18 +92,16 @@ class RootSearchConfig:
     4 _C_MAX to check that.  Roots are seeded from the contour moments
     of the search box's walk, not isolated by subdividing it, so there
     is no depth limit.  Fixed, not settable: _C_MAX, _AXIS_PAD,
-    _SNAP_TOL, _NEWTON_STEPS, _RETRIES, _SEED, _MAX_EVALS and _MAX_PTS.
+    _SNAP_TOL, _NEWTON_STEPS, _ROOT_TOL, _RETRIES, _SEED, _MAX_EVALS and
+    _MAX_PTS.
     """
 
     eps_cut: float = 1e-3
-    root_tol: float = 1e-10
     disc: DiscriminantConfig = field(default_factory=DiscriminantConfig)
 
     def __post_init__(self):
         if not 0.0 < self.eps_cut < _C_MAX:
             raise ValueError(f"eps_cut must lie in (0, {_C_MAX}), got {self.eps_cut}")
-        if not 0.0 < self.root_tol < math.inf:
-            raise ValueError(f"root_tol must be positive and finite, got {self.root_tol}")
 
 
 DEFAULT_SEARCH = RootSearchConfig()
@@ -124,17 +124,6 @@ def _evans_batch(cs, theta: float, d: float, cfg: DiscriminantConfig | None = No
     """evans() at many points off the cut, through one discriminant_batch call."""
     sps = [s_of_c(c) for c in cs]
     return 2.0 * math.cos(TWO_PI * theta) - discriminant_batch(sps, d * d, cfg)
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n=1):
-        self.used += n
-        if self.used > self.limit:
-            raise ConvergenceError(f"evaluation budget {self.limit} exhausted")
 
 
 class _ContourHit(Exception):
@@ -188,26 +177,30 @@ def _edge_points(a: complex, b: complex):
     return [complex(level, t) for t in ts]
 
 
-def _winding(f, rect, cache, budget):
+def _winding(f, rect, cache):
     """Winding number of f over the rectangle boundary, counterclockwise.
 
     f maps a list of points to an array of values and obeys
     f(-conj z) = conj f(z), so a point left of the imaginary axis is
     evaluated as its mirror twin -conj z, cached under the twin.  The
     uncached twins of the boundary samples are evaluated in one call,
-    then those of each refinement pass's midpoints in one more.
-    Argument increments are refined until each is below pi/2; a sample
-    falling on a zero (or a non-integer total) raises _ContourHit so the
-    caller can jitter the rectangle.  Returns the winding and the final
-    walk (points, values), closed by repeating its first point.
+    then those of each refinement pass's midpoints in one more.  The
+    cache is the budget: a call that would take it past _MAX_EVALS
+    points raises ConvergenceError.  Argument increments are refined
+    until each is below pi/2, and a walk that still has a larger one at
+    _MAX_PTS samples raises ConvergenceError.  A sample falling on a
+    zero raises _ContourHit so the caller can jitter the rectangle.
+    Returns the winding and the final walk (points, values), closed by
+    repeating its first point.
     """
     x0, x1, y0, y1 = rect
 
     def F(zs):
         twins = [-z.conjugate() if z.real < 0 else z for z in zs]
         new = [t for t in dict.fromkeys(twins) if t not in cache]
+        if len(cache) + len(new) > _MAX_EVALS:
+            raise ConvergenceError(f"evaluation budget {_MAX_EVALS} exhausted in {rect}")
         if new:
-            budget.spend(len(new))
             cache.update(zip(new, f(new)))
         vals = [cache[t].conjugate() if z.real < 0 else cache[t] for z, t in zip(zs, twins)]
         for z, v in zip(zs, vals):
@@ -222,26 +215,29 @@ def _winding(f, rect, cache, budget):
     pts.append(pts[0])
     vals = F(pts)
 
-    while len(pts) < _MAX_PTS:
+    while True:
         split = [i for i in range(1, len(pts))
                  if abs(cmath.phase(vals[i] / vals[i - 1])) >= math.pi / 2]
         if not split:
             break
+        if len(pts) >= _MAX_PTS:
+            raise ConvergenceError(
+                f"walk of rectangle {rect} unresolved at {len(pts)} samples: "
+                f"{len(split)} argument increments still reach pi/2"
+            )
         mids = [0.5 * (pts[i - 1] + pts[i]) for i in split]
         for i, z, v in reversed(list(zip(split, mids, F(mids)))):
             pts.insert(i, z)
             vals.insert(i, v)
 
+    # a closed walk's principal increments sum to 2 pi times an integer
     total = 0.0
     for i in range(1, len(vals)):
         total += cmath.phase(vals[i] / vals[i - 1])
-    w = total / TWO_PI
-    if abs(w - round(w)) > 0.25:
-        raise _ContourHit(f"non-integer winding {w:.3f}")
-    return int(round(w)), (pts, vals)
+    return int(round(total / TWO_PI)), (pts, vals)
 
 
-def _winding_retry(f, rect, cache, budget, rng):
+def _winding_retry(f, rect, cache, rng):
     """Winding with outward jitter of the rectangle on contour hits.
 
     Returns (winding, walk, rectangle actually walked).
@@ -250,7 +246,7 @@ def _winding_retry(f, rect, cache, budget, rng):
     last = None
     for attempt in range(_RETRIES + 1):
         try:
-            return (*_winding(f, (x0, x1, y0, y1), cache, budget), (x0, x1, y0, y1))
+            return (*_winding(f, (x0, x1, y0, y1), cache), (x0, x1, y0, y1))
         except _ContourHit as hit:
             last = hit
             dx = (x1 - x0) * 1e-3 * (1.0 + rng.random())
@@ -262,26 +258,26 @@ def _winding_retry(f, rect, cache, budget, rng):
     raise ContourThroughRootError(f"winding failed after jitter retries: {last}")
 
 
-def _newton(f, fs, z0, cfg, budget):
-    """Damped Newton from z0; f evaluates one point, fs a list of points."""
+def _newton(fs, z0):
+    """Damped Newton from z0 on the list evaluator fs: one point per value,
+    both points of the centred derivative in one call.  Its evaluations,
+    at most 1 + _NEWTON_STEPS (2 + 30), are bounded here, not by the
+    walks' _MAX_EVALS."""
     z = complex(z0)
-    fz = f(z)
-    budget.spend()
+    fz = fs([z])[0]
     h = 1e-7 * max(1.0, abs(z))
     for _ in range(_NEWTON_STEPS):
-        if abs(fz) < cfg.root_tol:
+        if abs(fz) < _ROOT_TOL:
             return z, abs(fz)
         fp, fm = fs([z + h, z - h])
         df = (fp - fm) / (2.0 * h)
-        budget.spend(2)
         if df == 0:
             break
         step = -fz / df
         lam = 1.0
         for _ in range(30):
             zn = z + lam * step
-            fn = f(zn)
-            budget.spend()
+            fn = fs([zn])[0]
             if abs(fn) < abs(fz):
                 z, fz = zn, fn
                 break
@@ -301,7 +297,7 @@ class EvansRootSet:
     count: int  # total root count with multiplicity over all four quadrants
 
 
-def _count_windings(f, cfg, cache, budget, rng):
+def _count_windings(f, cfg, cache, rng):
     """Windings of box A = (-pad, _C_MAX) x (eps_cut, _C_MAX) and of box B.
 
     Box A holds every root of the closed first quadrant above eps_cut:
@@ -317,13 +313,12 @@ def _count_windings(f, cfg, cache, budget, rng):
     final walk).
     """
     pad = _AXIS_PAD
-    wa, walk, box_a = _winding_retry(f, (-pad, _C_MAX, cfg.eps_cut, _C_MAX),
-                                     cache, budget, rng)
+    wa, walk, box_a = _winding_retry(f, (-pad, _C_MAX, cfg.eps_cut, _C_MAX), cache, rng)
     x0, _, y0, y1 = box_a
     for attempt in range(_RETRIES + 1):
         xm = pad if attempt == 0 else pad * (1.0 + (rng.random() - 0.5) * 0.2)
         try:
-            ws, _ = _winding(f, (x0, xm, y0, y1), cache, budget)
+            ws, _ = _winding(f, (x0, xm, y0, y1), cache)
             break
         except _ContourHit as hit:
             last = hit
@@ -344,13 +339,14 @@ def _count_class(theta, d, cfg, region):
 
     Unless region is None, the count 2 (w_A + w_B) must be the one it
     predicts, or OracleMismatchError names the class, mu, eps_cut and
-    box A.  Returns (count, w_A, box A after any jitter, box A's final
-    walk, the list evaluator, the budget) for Newton to go on from.
+    box A.  Box A and the strip share one twin cache, and with it the
+    budget of _MAX_EVALS distinct points.  Returns (count, w_A, box A
+    after any jitter, box A's final walk, the list evaluator) for Newton
+    to go on from.
     """
     _check_class(theta, d)
     fs = lambda cs: _evans_batch(cs, theta, d, cfg.disc)
-    budget = _Budget(_MAX_EVALS)
-    wa, wb, box_a, walk = _count_windings(fs, cfg, {}, budget, np.random.default_rng(_SEED))
+    wa, wb, box_a, walk = _count_windings(fs, cfg, {}, np.random.default_rng(_SEED))
     total = 2 * (wa + wb)
     if region is not None and total != ROOT_COUNT_BY_REGION[region]:
         raise OracleMismatchError(
@@ -358,7 +354,7 @@ def _count_class(theta, d, cfg, region):
             f"{box_a} with eps_cut={cfg.eps_cut}, but region {region.value} predicts "
             f"{ROOT_COUNT_BY_REGION[region]}"
         )
-    return total, wa, box_a, walk, fs, budget
+    return total, wa, box_a, walk, fs
 
 
 def _moment_seeds(pts, vals, w):
@@ -406,14 +402,13 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
     if expected_region is None:
         _check_class(theta, d)  # before Fraction() meets a nan or an inf
     region = expected_region or classify_rational(Fraction(theta), Fraction(d))
-    total, wa, box_a, walk, fs, budget = _count_class(theta, d, cfg, region)
-    f = lambda c: evans(c, theta, d, cfg.disc)
+    total, wa, box_a, walk, fs = _count_class(theta, d, cfg, region)
 
     seeds = _moment_seeds(*walk, wa)
     found: list = []
     for seed in seeds:
-        z, res = _newton(f, fs, seed, cfg, budget)
-        if res > cfg.root_tol:
+        z, res = _newton(fs, seed)
+        if res > _ROOT_TOL:
             raise ConvergenceError(
                 f"Newton stalled at |E| = {res:.2e} near {z:.4f} from the moment seed "
                 f"{seed:.4f} of box A {box_a} at (theta={theta}, d={d})"

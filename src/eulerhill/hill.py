@@ -87,6 +87,10 @@ _POLE_GUARD = 1e-8
 #: one below 1e-17 for N up to 400 and 3e-15 for N up to 1e5.
 _ZETA_TERMS = 9
 
+#: the largest half-width, set or widened, that an evaluation accepts:
+#: the largest for which the bound above holds the tail product to 1e-17
+_MAX_HALF_WIDTH = 400
+
 #: Summation by parts to third differences: sum_{z>=a} w^(z-a) g(z) =
 #: sum_k c_k g(a+k) with c_k = sum_j r^j _TAIL_WEIGHTS[j, k] / (1 - w),
 #: r = w / (1 - w).
@@ -105,8 +109,9 @@ class DiscriminantConfig:
     half_width: int = 16
 
     def __post_init__(self):
-        if self.half_width < 1:
-            raise ValueError(f"half_width must be >= 1, got {self.half_width}")
+        if not 1 <= self.half_width <= _MAX_HALF_WIDTH:
+            raise ValueError(f"half_width must lie in [1, {_MAX_HALF_WIDTH}], "
+                             f"got {self.half_width}")
 
 
 DEFAULT_CONFIG = DiscriminantConfig()
@@ -340,11 +345,18 @@ def discriminant_batch(
 
     Points are grouped by their (possibly widened) half-width and run
     through the kernel in chunks of at most _CHUNK points; each value is
-    bitwise the one discriminant() returns for its point alone.
+    bitwise the one discriminant() returns for its point alone.  Raises
+    ValueError, before building anything, at a point whose Lambda is not
+    finite or needs a half-width above _MAX_HALF_WIDTH.
     """
     cfg = cfg or DEFAULT_CONFIG
     lams = [sp.g0 - mu for sp in sps]
-    Ns = [max(cfg.half_width, math.ceil(math.sqrt(2.5 * abs(lam))) + 8) for lam in lams]
+    Ns = [max(cfg.half_width, math.ceil(math.sqrt(2.5 * abs(lam))) + 8)
+          if 2.5 * abs(lam) < math.inf else math.inf for lam in lams]  # inf for a nan too
+    for sp, lam, N in zip(sps, lams, Ns):
+        if N > _MAX_HALF_WIDTH:
+            raise ValueError(f"c = {sp.c}, mu = {mu}: Lambda = {lam} needs a half-width of "
+                             f"{N:.6g}, above the cap {_MAX_HALF_WIDTH}")
     out = np.empty(len(lams), dtype=complex)
     for N in sorted(set(Ns)):
         rows = [i for i, n in enumerate(Ns) if n == N]

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import eulerhill
 from eulerhill import DiscriminantConfig, discriminant, s_of_c
-from eulerhill.cli import main
+from eulerhill.cli import SETTINGS, main
 
 
 def run_cli(args, capsys):
@@ -288,9 +289,11 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     assert "half_width" in captured.err  # the valid keys are listed
 
 
+# root_tol and integrator_tol are constants of the library, not settings,
+# so their flags are unknown flags and their file keys unknown keys
 @pytest.mark.parametrize("flags, file_values, name", [
     (["--half-width", "0"], None, "half_width"),
-    (["--root-tol", "inf"], None, "root_tol"),
+    (["--root-tol=inf"], None, "root_tol"),
     (["--eps-cut", "5"], None, "eps_cut"),
     (["--integrator-tol", "-1"], None, "integrator_tol"),
     ([], {"half_width": "8"}, "half_width"),
@@ -299,7 +302,10 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     ([], {"fmt": "xml"}, "fmt"),
     ([], {"normalize": True}, "normalize"),
     ([], "{not json", "EULERHILL_DEFAULTS"),
-    (["--integrator-tol", "inf"], None, "integrator_tol"),
+    (["--integrator-tol=inf"], None, "integrator_tol"),
+    (["--half-width", "401"], None, "half_width"),  # above the evaluator's cap
+    ([], {"root_tol": 1e-10}, "root_tol"),
+    ([], {"integrator_tol": 1e-9}, "integrator_tol"),
 ])
 def test_bad_settings_exit_2(flags, file_values, name, tmp_path, capsys, monkeypatch):
     if file_values is not None:
@@ -307,11 +313,31 @@ def test_bad_settings_exit_2(flags, file_values, name, tmp_path, capsys, monkeyp
         text = file_values if isinstance(file_values, str) else json.dumps(file_values)
         defaults.write_text(text)
         monkeypatch.setenv("EULERHILL_DEFAULTS", str(defaults))
-    code = main(flags + ["verify"])
+    if flags and name not in SETTINGS:  # no such flag: argparse prints its usage and exits
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["verify"])
+        code, captured = exc.value.code, capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith(
+            "eulerhill: error: unrecognized arguments: --" + name.replace("_", "-"))
+    else:
+        code = main(flags + ["verify"])
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and name in captured.err
+    assert code == 2
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["evans-roots", "--theta", "0.3", "--d", "1e200"],  # d^2 overflows
+    ["discriminant", "--c", "2", "--mu-max", "1e300", "--points", "2"],
+])
+def test_lambda_past_the_half_width_cap_is_a_usage_error(argv, capsys):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and name in captured.err
+    assert re.fullmatch(r"error: c = .*, mu = .*: Lambda = .* needs a half-width of \S+, "
+                        r"above the cap 400\n", captured.err)
 
 
 def test_settings_precedence(tmp_path, capsys, monkeypatch):

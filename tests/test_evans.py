@@ -257,17 +257,26 @@ def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
 
 
 def test_find_roots_evaluation_count(monkeypatch):
-    budgets = []
+    # every evaluation, the walks' and Newton's, goes through _evans_batch
+    real = evans_mod._evans_batch
+    sizes = []
 
-    class Recorded(evans_mod._Budget):
-        def __init__(self, limit):
-            super().__init__(limit)
-            budgets.append(self)
+    def spy(cs, theta, d, cfg=None):
+        sizes.append(len(cs))
+        return real(cs, theta, d, cfg)
 
-    monkeypatch.setattr(evans_mod, "_Budget", Recorded)
+    monkeypatch.setattr(evans_mod, "_evans_batch", spy)
     rs = find_roots(0.4, 0.6)
     assert rs.count == 4
-    assert [b.used for b in budgets] == [351]
+    assert sum(sizes) == 351
+
+
+def test_unresolved_walk_raises(monkeypatch):
+    # with no refinement pass allowed, box A's walk keeps increments of
+    # pi/2 or more, and their rounded sum, -2, is no count
+    monkeypatch.setattr(evans_mod, "_MAX_PTS", 1)
+    with pytest.raises(ConvergenceError, match=r"walk of rectangle .* unresolved at \d+ samples"):
+        count_roots(0.1, 0.6)
 
 
 def test_unjittered_count_evaluates_no_point_left_of_the_axis(monkeypatch):
@@ -354,6 +363,13 @@ def test_class_data_must_be_finite_with_nonnegative_d(theta, d):
             search(theta, d, expected_region=RegionTag.REGION_I)
 
 
+@pytest.mark.parametrize("d", [1e200, 1e4])
+def test_class_d_past_the_half_width_cap_raises(d):
+    # d^2 overflows at 1e200; d = 1e4 would need a half-width of 15820
+    with pytest.raises(ValueError, match=r"needs a half-width of \S+, above the cap 400"):
+        find_roots(0.3, d)
+
+
 def test_find_roots_takes_the_exact_region_of_class_data():
     # (1,2) k = 3 lies on the inner circle exactly, in region II as floats
     p = Wavevector(1, 2)
@@ -408,28 +424,33 @@ def test_search_box_must_be_well_formed():
     # and eps_cut <= 0 reaches the cut
     for bad, name in ((dict(eps_cut=5.0), "eps_cut"), (dict(eps_cut=2.0), "eps_cut"),
                       (dict(eps_cut=-0.01), "eps_cut"), (dict(eps_cut=0.0), "eps_cut"),
-                      (dict(eps_cut=math.nan), "eps_cut"), (dict(root_tol=0.0), "root_tol"),
-                      (dict(root_tol=-1.0), "root_tol"), (dict(root_tol=math.inf), "root_tol")):
+                      (dict(eps_cut=math.nan), "eps_cut")):
         with pytest.raises(ValueError, match=f"^{name} "):
             RootSearchConfig(**bad)
 
 
 def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypatch):
     real = evans_mod._newton
-    sizes = []
+    calls = []
 
-    def recording(f, fs, z0, cfg, budget):
+    def recording(fs, z0):
         def fs_rec(zs):
-            sizes.append(len(zs))
+            calls.append(list(zs))
             return fs(zs)
-        return real(f, fs_rec, z0, cfg, budget)
+        return real(fs_rec, z0)
 
-    def one_by_one(f, fs, z0, cfg, budget):
-        return real(f, lambda zs: [f(z) for z in zs], z0, cfg, budget)
+    def one_by_one(fs, z0):
+        return real(lambda zs: [fs([z])[0] for z in zs], z0)
 
     monkeypatch.setattr(evans_mod, "_newton", recording)
     batched = find_roots(0.4, 0.6).roots
-    assert sizes and set(sizes) == {2}
+    assert {len(zs) for zs in calls} == {1, 2}
+    # each pair is the centred difference about the point evaluated last
+    for i, zs in enumerate(calls):
+        if len(zs) == 2:
+            (z,) = calls[i - 1]
+            h = 1e-7 * max(1.0, abs(z))
+            assert zs == [z + h, z - h]
     monkeypatch.setattr(evans_mod, "_newton", one_by_one)
     assert find_roots(0.4, 0.6).roots == batched
 
@@ -450,12 +471,10 @@ def test_strip_difference_equals_walking_box_b():
     for theta, d in _classes(Wavevector(1, 2), Wavevector(2, 3)) + [(0.4, 0.6)]:
         def fs(cs):
             return evans_mod._evans_batch(cs, theta, d, cfg.disc)
-        wa, wb, box_a, _ = evans_mod._count_windings(
-            fs, cfg, {}, evans_mod._Budget(evans_mod._MAX_EVALS),
-            np.random.default_rng(evans_mod._SEED))
+        wa, wb, box_a, _ = evans_mod._count_windings(fs, cfg, {},
+                                                     np.random.default_rng(evans_mod._SEED))
         assert box_a == (-_PAD, _C, eps, _C)  # not jittered: B is the fixed box
-        direct, _ = evans_mod._winding(fs, (_PAD, _C, eps, _C), {},
-                                       evans_mod._Budget(evans_mod._MAX_EVALS))
+        direct, _ = evans_mod._winding(fs, (_PAD, _C, eps, _C), {})
         assert wb == direct, (theta, d, wa, wb, direct)
         seen.add(direct)
     assert seen == {0, 1}  # the quadruplet at (0.4, 0.6) has its root in B
