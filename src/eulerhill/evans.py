@@ -6,13 +6,17 @@ Roots in the closed first quadrant are counted by argument-principle
 winding numbers over rectangles.  Their positions come from the contour
 moments of the count's own walk around the search box (Delves and
 Lyness 1967; Kravanja and Van Barel, LNM 1727, 2000), which seed damped
-Newton iteration at no extra evaluation; no rectangle is subdivided.
+Newton iteration at no extra evaluation, each seed's deflated by the
+roots reached before it; no rectangle is subdivided.
 
 Contour geometry: the cut [-1, 1] is avoided by keeping Im c >= eps_cut;
-boundary sampling is graded (fine near the cut shadow and near the
-imaginary axis) because roots of small-d classes approach the real axis
-and a coarse boundary walk can alias away their phase winding.  The fine
-samples lie on a lattice fixed by the edge's line, so rectangles that
+boundary sampling is graded because roots of small-d classes approach
+the real axis and a coarse boundary walk can alias away their phase
+winding.  It is fine near the imaginary axis and at the cut ends; above
+the rest of the cut it is coarse but for a window around the root next
+to c = 1 that the small-mu model E ~ 2 cos(2 pi theta) - 2 - d^2 S(c)
+predicts, S being the slope of Delta at mu = 0.  The samples of each
+zone lie on a lattice fixed by the edge's line, so rectangles that
 share an edge, or part of one, share those samples through the cache;
 the right-of-axis box is counted as a difference of windings rather
 than walked.  Since theta and d are real, E(-conj c) = conj E(c), so a
@@ -43,14 +47,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal import Side, s_at_origin, s_of_c
+from .conformal import CUT_IMAG_TOL, Side, s_at_origin, s_of_c
 from .errors import (
     BranchCutError,
     ContourThroughRootError,
     ConvergenceError,
     OracleMismatchError,
 )
-from .hill import DiscriminantConfig, discriminant, discriminant_batch
+from .hill import DiscriminantConfig, discriminant, discriminant_batch, discriminant_slope_at_zero
 from .lattice import ROOT_COUNT_BY_REGION, RegionTag, classify_rational
 
 __all__ = [
@@ -79,6 +83,30 @@ _RETRIES = 6
 _SEED = 20250810
 _MAX_EVALS = 60000
 _MAX_PTS = 20000
+
+# Bottom-edge sampling (_edge_points):
+# - _COARSE_STEP, the step over |x| <= 1.1, where no root nears the edge
+#   but next to the axis and the cut ends; 0.064 and 0.128 kept the
+#   counts of (7,8), (10,11), (13,14), (20,21) and 420 draws, so 0.032
+#   leaves margin for E's own variation;
+# - _CUT_ZONE, the half-width of the fine zone at each cut end; without
+#   it the moment seeds of the classes of (4,5), (5,4), (2,5), (3,5),
+#   (7,8) and (10,11) lie a median 6.2e-3 from their roots, not 4.5e-3;
+# - _AXIS_ZONE, the half-width of the fine zone about the axis, where
+#   root pairs are born at c = 0; without it the roots +-0.0064+0.0064i
+#   of (0.49977385339860314, 0.8586155048669204), 0.0054 above the edge,
+#   are not counted;
+# - _WINDOW_STEP and _WINDOW_WIDTH, the step and half-width of the window
+#   around the cut-end root that _cut_end_root predicts, in units of the
+#   root's height above the edge: the root's phase swing of pi is taken
+#   in increments of at most 2 atan(1/8), and atan(1/2) of it lies
+#   beyond either end.  Without the window 48, not 44, of 120 draws with
+#   d in (1e-4, 0.32) miscount.
+_COARSE_STEP = 0.032
+_CUT_ZONE = 0.02
+_AXIS_ZONE = 0.1
+_WINDOW_STEP = 0.25
+_WINDOW_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -130,39 +158,55 @@ class _ContourHit(Exception):
     """Internal: contour passes through (or indistinguishably near) a zero."""
 
 
-def _edge_points(a: complex, b: complex):
+def _edge_points(a: complex, b: complex, root: complex | None = None):
     """Boundary samples on the axis-parallel segment a -> b (excluding b).
 
-    Spacing is bounded by L/12 everywhere and by h = max(2|level|, 0.004)
-    where zeros can hide close to the contour: horizontal runs just above
-    the cut (|x| <= 1.1), and vertical runs near the imaginary axis
-    (|y| <= 1.3).  There the samples are the odd multiples of h/2 (and
-    the endpoints), a lattice that does not depend on the segment: the
-    rectangles sharing an edge, or any part of one, share its fine
-    samples, and the samples next to the cut ends sit at x = +-(1 -+ h/2),
-    not on x = +-1.  The set is built in ascending order and reversed
-    for a descending walk, so it does not depend on the direction.
+    Spacing is bounded by L/12 everywhere, and more finely in zones where
+    zeros can hide close to the contour, with h = max(2|level|, 0.004):
+    on vertical runs near the imaginary axis (|level| < 0.15), by h over
+    |y| <= 1.3; on horizontal runs just above the cut (|level| <= 0.2),
+    by max(h, _COARSE_STEP) over |x| <= 1.1, by h over |x| <= _AXIS_ZONE
+    and in the cut-end shadows |x -+ 1| <= _CUT_ZONE, and by _WINDOW_STEP
+    times the height of root above the run in a window of _WINDOW_WIDTH
+    such heights either side of Re root (root is the class's predicted
+    cut-end root, or None).  Each zone's samples are the odd multiples
+    of half its step that no finer zone covers, taken one step beyond
+    the zone, so they do not depend on the segment: the rectangles
+    sharing an edge, or any part of one, share them, and with no window
+    the samples next to the cut ends sit at x = +-(1 -+ h/2), not on
+    x = +-1.  Between them the samples are evenly spaced.  The set is
+    built in ascending order and reversed for a descending walk, so it
+    does not depend on the direction.
     """
     horizontal = a.imag == b.imag
     if horizontal:
         level, ta, tb = a.imag, a.real, b.real
-        fine, zone = abs(level) <= 0.2, 1.1
     else:
         level, ta, tb = a.real, a.imag, b.imag
-        fine, zone = abs(level) < 0.15, 1.3
     h = max(2.0 * abs(level), 0.004)
-    lo, hi = min(ta, tb), max(ta, tb)
-    coarse = (hi - lo) / 12.0
-    knots = [lo]
-    if fine:
-        # the lattice over the zone and one step beyond it on either side
-        k0 = math.ceil(max(lo, -zone - h) / h - 0.5)
-        k1 = math.floor(min(hi, zone + h) / h - 0.5)
-        knots += [t for t in ((k + 0.5) * h for k in range(k0, k1 + 1)) if lo < t < hi]
-    knots.append(hi)
+    zones = []  # (from, to, step)
+    if not horizontal and abs(level) < 0.15:
+        zones.append((-1.3, 1.3, h))
+    elif horizontal and abs(level) <= 0.2:
+        zones += [(-1.1, 1.1, max(h, _COARSE_STEP)), (-_AXIS_ZONE, _AXIS_ZONE, h),
+                  (-1.0 - _CUT_ZONE, -1.0 + _CUT_ZONE, h), (1.0 - _CUT_ZONE, 1.0 + _CUT_ZONE, h)]
+        if root is not None and root.imag != level:
+            height = abs(root.imag - level)
+            zones.append((root.real - _WINDOW_WIDTH * height, root.real + _WINDOW_WIDTH * height,
+                          _WINDOW_STEP * height))
 
     def step(t):
-        return h if fine and abs(t) <= zone else coarse
+        return min([s for z0, z1, s in zones if z0 <= t <= z1], default=math.inf)
+
+    lo, hi = min(ta, tb), max(ta, tb)
+    coarse = (hi - lo) / 12.0
+    knots = {lo, hi}
+    for z0, z1, s in zones:
+        k0 = math.ceil(max(lo, z0 - s) / s - 0.5)
+        k1 = math.floor(min(hi, z1 + s) / s - 0.5)
+        knots.update(t for t in ((k + 0.5) * s for k in range(k0, k1 + 1))
+                     if lo < t < hi and step(t) >= s)
+    knots = sorted(knots)
 
     ts = []
     for p, q in zip(knots, knots[1:]):
@@ -177,7 +221,7 @@ def _edge_points(a: complex, b: complex):
     return [complex(level, t) for t in ts]
 
 
-def _winding(f, rect, cache):
+def _winding(f, rect, cache, root=None):
     """Winding number of f over the rectangle boundary, counterclockwise.
 
     f maps a list of points to an array of values and obeys
@@ -190,6 +234,7 @@ def _winding(f, rect, cache):
     until each is below pi/2, and a walk that still has a larger one at
     _MAX_PTS samples raises ConvergenceError.  A sample falling on a
     zero raises _ContourHit so the caller can jitter the rectangle.
+    The samples are those of _edge_points, with its window around root.
     Returns the winding and the final walk (points, values), closed by
     repeating its first point.
     """
@@ -211,7 +256,7 @@ def _winding(f, rect, cache):
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     pts = []
     for i in range(4):
-        pts.extend(_edge_points(corners[i], corners[(i + 1) % 4]))
+        pts.extend(_edge_points(corners[i], corners[(i + 1) % 4], root))
     pts.append(pts[0])
     vals = F(pts)
 
@@ -237,7 +282,7 @@ def _winding(f, rect, cache):
     return int(round(total / TWO_PI)), (pts, vals)
 
 
-def _winding_retry(f, rect, cache, rng):
+def _winding_retry(f, rect, cache, rng, root=None):
     """Winding with outward jitter of the rectangle on contour hits.
 
     Returns (winding, walk, rectangle actually walked).
@@ -246,7 +291,7 @@ def _winding_retry(f, rect, cache, rng):
     last = None
     for attempt in range(_RETRIES + 1):
         try:
-            return (*_winding(f, (x0, x1, y0, y1), cache), (x0, x1, y0, y1))
+            return (*_winding(f, (x0, x1, y0, y1), cache, root), (x0, x1, y0, y1))
         except _ContourHit as hit:
             last = hit
             dx = (x1 - x0) * 1e-3 * (1.0 + rng.random())
@@ -297,7 +342,7 @@ class EvansRootSet:
     count: int  # total root count with multiplicity over all four quadrants
 
 
-def _count_windings(f, cfg, cache, rng):
+def _count_windings(f, cfg, cache, rng, root=None):
     """Windings of box A = (-pad, _C_MAX) x (eps_cut, _C_MAX) and of box B.
 
     Box A holds every root of the closed first quadrant above eps_cut:
@@ -309,16 +354,17 @@ def _count_windings(f, cfg, cache, rng):
     A's left edge, and A's bottom-edge samples on (-pad, 0) mirror those
     on (0, pad), so _winding evaluates each of those pairs once.  A
     contour hit on S moves only the dividing line, so S and B still
-    partition A.  Returns (w_A, w_B, box A after any jitter, box A's
-    final walk).
+    partition A.  Both walks sample their bottom edges around root, the
+    predicted cut-end root.  Returns (w_A, w_B, box A after any jitter,
+    box A's final walk).
     """
     pad = _AXIS_PAD
-    wa, walk, box_a = _winding_retry(f, (-pad, _C_MAX, cfg.eps_cut, _C_MAX), cache, rng)
+    wa, walk, box_a = _winding_retry(f, (-pad, _C_MAX, cfg.eps_cut, _C_MAX), cache, rng, root)
     x0, _, y0, y1 = box_a
     for attempt in range(_RETRIES + 1):
         xm = pad if attempt == 0 else pad * (1.0 + (rng.random() - 0.5) * 0.2)
         try:
-            ws, _ = _winding(f, (x0, xm, y0, y1), cache)
+            ws, _ = _winding(f, (x0, xm, y0, y1), cache, root)
             break
         except _ContourHit as hit:
             last = hit
@@ -334,25 +380,64 @@ def _check_class(theta: float, d: float) -> None:
         raise ValueError(f"d must be finite and nonnegative, got {d}")
 
 
+def _cut_end_root(theta: float, d: float) -> complex | None:
+    """The first-quadrant root next to c = 1 of the small-mu model of E.
+
+    Delta(0; c) = 2 for every c, so for small mu = d^2
+    E(c) ~ a - d^2 S(c), a = 2 cos(2 pi theta) - 2, with S the slope
+    discriminant_slope_at_zero.  Squared, a - d^2 S = 0 is the cubic
+    a^2 (u - 1)^3 = 4 pi^4 d^4 u (1 + 2u)^2 in u = c^2.  Over a^2 and in
+    v = u - 1 it reads (1 - 16 q) v^3 = q (64 v^2 + 84 v + 36) with
+    q = (pi^2 d^2 / a)^2, whose roots, unlike those in u, do not cluster
+    at one point for small d.  Of its roots, the one with c = sqrt(u) in
+    the open first quadrant that solves the unsquared equation is
+    returned; None when there is none, at d = 0 or a = 0, or where the
+    model is not finite.
+    """
+    a = 2.0 * math.cos(TWO_PI * theta) - 2.0
+    if a == 0.0 or d == 0.0:
+        return None
+    r = math.pi**2 * d * d / a
+    q = r * r  # inf, where a power would raise OverflowError
+    coeffs = [1.0 - 16.0 * q, -64.0 * q, -84.0 * q, -36.0 * q]
+    if not all(map(math.isfinite, coeffs)):
+        return None
+    for v in np.roots(coeffs):
+        c = cmath.sqrt(1.0 + complex(v))
+        if (c.real > 0.0 and c.imag > CUT_IMAG_TOL
+                and abs(a - d * d * discriminant_slope_at_zero(c)) <= 1e-6 * abs(a)):
+            return c
+    return None
+
+
 def _count_class(theta, d, cfg, region):
     """The count step of find_roots and count_roots, walked once at cfg.
 
-    Unless region is None, the count 2 (w_A + w_B) must be the one it
-    predicts, or OracleMismatchError names the class, mu, eps_cut and
-    box A.  Box A and the strip share one twin cache, and with it the
-    budget of _MAX_EVALS distinct points.  Returns (count, w_A, box A
-    after any jitter, box A's final walk, the list evaluator) for Newton
-    to go on from.
+    Box A's bottom edge is sampled finely around the cut-end root that
+    _cut_end_root predicts.  Unless region is None, the count
+    2 (w_A + w_B) must be the one it predicts, or OracleMismatchError
+    names the class, mu, eps_cut and box A, and, when a region II count
+    falls short and the predicted root lies under eps_cut, that root.
+    Box A and the strip share one twin cache, and with it the budget of
+    _MAX_EVALS distinct points.  Returns (count, w_A, box A after any
+    jitter, box A's final walk, the list evaluator) for Newton to go on
+    from.
     """
     _check_class(theta, d)
+    root = _cut_end_root(theta, d)
     fs = lambda cs: _evans_batch(cs, theta, d, cfg.disc)
-    wa, wb, box_a, walk = _count_windings(fs, cfg, {}, np.random.default_rng(_SEED))
+    wa, wb, box_a, walk = _count_windings(fs, cfg, {}, np.random.default_rng(_SEED), root)
     total = 2 * (wa + wb)
     if region is not None and total != ROOT_COUNT_BY_REGION[region]:
+        want = ROOT_COUNT_BY_REGION[region]
+        under = ""
+        if (region == RegionTag.REGION_II and total < want and root is not None
+                and root.imag < cfg.eps_cut):
+            under = f"; the small-mu model puts a root at {root:.8f}, under eps_cut"
         raise OracleMismatchError(
             f"{total} eigenvalues counted at (theta={theta}, d={d}, mu={d * d}) in box A "
             f"{box_a} with eps_cut={cfg.eps_cut}, but region {region.value} predicts "
-            f"{ROOT_COUNT_BY_REGION[region]}"
+            f"{want}{under}"
         )
     return total, wa, box_a, walk, fs
 
@@ -390,7 +475,11 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
     of rational class data; by default the exact region of the float
     data), or OracleMismatchError is raised before any Newton step.  The
     w_A roots in box A are then polished by Newton from the estimates of
-    _moment_seeds on box A's final walk.  Each converged root is folded
+    _moment_seeds on box A's final walk, one seed after another, each on
+    E divided by c - r for every image r, under c -> -c and c -> conj(c),
+    of the roots reached before it (deflation), so that the seeds of a
+    close pair cannot settle on one root; seeds left once the roots
+    reached hold w_A zeros are not used.  Each converged root is folded
     into the closed first quadrant, which the symmetries c -> -c and
     c -> conj(c) allow, and snapped onto the imaginary axis within snap
     tolerance.  The distinct folded roots must lie in box A and hold
@@ -405,21 +494,31 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
     total, wa, box_a, walk, fs = _count_class(theta, d, cfg, region)
 
     seeds = _moment_seeds(*walk, wa)
+    x0, x1, y0, y1 = box_a
+
+    def held(zs):
+        return sum(2 if 0.0 < z.real < -x0 else 1 for z in zs)
+
     found: list = []
     for seed in seeds:
-        z, res = _newton(fs, seed)
+        if held(found) >= wa:
+            break  # a root inside the pad is two of box A's zeros
+        images = tuple({w for u in found for w in (u, -u, u.conjugate(), -u.conjugate())})
+
+        def deflated(cs, done=images):
+            return fs(cs) / np.array([np.prod([c - r for r in done]) for c in cs])
+
+        z, res = _newton(deflated, seed)
         if res > _ROOT_TOL:
             raise ConvergenceError(
-                f"Newton stalled at |E| = {res:.2e} near {z:.4f} from the moment seed "
-                f"{seed:.4f} of box A {box_a} at (theta={theta}, d={d})"
+                f"Newton stalled at a residual of {res:.2e} near {z:.4f} from the moment "
+                f"seed {seed:.4f} of box A {box_a} at (theta={theta}, d={d})"
             )
         z = complex(abs(z.real) if abs(z.real) > _SNAP_TOL else 0.0, abs(z.imag))
         if all(abs(z - u) > _SNAP_TOL for u in found):
             found.append(z)
 
-    x0, x1, y0, y1 = box_a
-    held = sum(2 if 0.0 < z.real < -x0 else 1 for z in found)
-    if held != wa or not all(z.real <= x1 and y0 <= z.imag <= y1 for z in found):
+    if held(found) != wa or not all(z.real <= x1 and y0 <= z.imag <= y1 for z in found):
         raise ConvergenceError(
             f"Newton from the moment seeds {seeds} at (theta={theta}, d={d}) reached "
             f"{found}, not the {wa} roots of box A {box_a}"

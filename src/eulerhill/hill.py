@@ -387,7 +387,8 @@ def discriminant_slope_at_zero(c: complex) -> complex:
 
     The 3/2 power uses the branch continuous off [-1, 1]; it is obtained
     from the disk variable via sqrt(c^2 - 1) = (1/s - s)/2, which is
-    positive real for real c > 1.
+    positive real for real c > 1.  evans places the cut-end root of a
+    small-d class with it, and the `slope formula` check tests it.
     """
     sp = s_of_c(c)  # raises on the cut
     root = (1.0 / sp.s - sp.s) / 2.0

@@ -32,6 +32,7 @@ from eulerhill import (
 from eulerhill import checks
 import eulerhill.evans as evans_mod
 from eulerhill.evans import _edge_points, evans
+from eulerhill.hill import discriminant_slope_at_zero
 
 #: the search box's axis pad and outer edge
 _PAD, _C = evans_mod._AXIS_PAD, evans_mod._C_MAX
@@ -227,12 +228,12 @@ def test_find_roots_region_is_exact_at_d_zero():
 
 
 def test_count_roots_budget_is_charged_per_distinct_point(monkeypatch):
-    # count_roots(0.2, 0.6) evaluates 343 distinct contour points, a point
+    # count_roots(0.2, 0.6) evaluates 136 distinct contour points, a point
     # left of the axis and its mirror twin counting once
-    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 342)
+    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 135)
     with pytest.raises(ConvergenceError):
         count_roots(0.2, 0.6)
-    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 343)
+    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 136)
     assert count_roots(0.2, 0.6) == 2
 
 
@@ -268,7 +269,7 @@ def test_find_roots_evaluation_count(monkeypatch):
     monkeypatch.setattr(evans_mod, "_evans_batch", spy)
     rs = find_roots(0.4, 0.6)
     assert rs.count == 4
-    assert sum(sizes) == 351
+    assert sum(sizes) == 144
 
 
 def test_unresolved_walk_raises(monkeypatch):
@@ -352,6 +353,43 @@ def test_both_searches_raise_one_message_where_the_count_misses_a_pair(monkeypat
         spectrum_report(Wavevector(1, 2), count_only=True)
 
 
+#: a region II draw whose cut-end root Newton on the Hill route, at half-
+#: widths 128 and 256, puts at 0.99952244+0.00082550i, under eps_cut
+_UNDER_EPS_CUT = (0.20749556733717733, 0.0014396203041943778)
+
+
+def test_cut_end_model_predicts_the_root_next_to_c_1():
+    p = Wavevector(4, 5)
+    cp = class_point(p, companion_basis(p), 1)
+    c = evans_mod._cut_end_root(cp.theta, cp.d)
+    assert c.real > 0.0 and c.imag > 0.0
+    # it solves the unsquared model, with the slope that `hill` defines
+    a = 2.0 * math.cos(2.0 * math.pi * cp.theta) - 2.0
+    assert abs(a - cp.d**2 * discriminant_slope_at_zero(c)) < 1e-12
+    rs = find_roots(cp.theta, cp.d, expected_region=cp.region)
+    assert min(abs(c - z) for z, _ in rs.roots) < 1e-4
+    assert abs(evans_mod._cut_end_root(*_UNDER_EPS_CUT) - (0.99952244 + 0.00082550j)) < 1e-6
+
+
+@pytest.mark.parametrize("theta, d", [(0.3, 0.0), (0.0, 0.3), (1.0, 0.3), (0.3, 1e200)])
+def test_cut_end_model_has_no_root_at_d_zero_theta_zero_or_overflow(theta, d):
+    assert evans_mod._cut_end_root(theta, d) is None
+
+
+def test_count_roots_where_the_cut_end_root_is_just_above_eps_cut():
+    # the predicted root is 0.99926086+0.00127625i, 2.8e-4 above box A's
+    # bottom edge; a uniform step of 0.004 there counts 0
+    assert count_roots(-0.28118233937512227, 0.0025438940326028077,
+                       expected_region=RegionTag.REGION_II) == 4
+
+
+def test_short_count_names_the_predicted_root_under_eps_cut():
+    with pytest.raises(OracleMismatchError,
+                       match=r"predicts 4; the small-mu model puts a root at "
+                             r"0\.99952244\+0\.00082550j, under eps_cut$"):
+        count_roots(*_UNDER_EPS_CUT, expected_region=RegionTag.REGION_II)
+
+
 @pytest.mark.parametrize("theta, d", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
                                       (0.3, -0.5), (0.3, math.nan), (0.3, math.inf)])
 def test_class_data_must_be_finite_with_nonnegative_d(theta, d):
@@ -417,6 +455,23 @@ def test_find_roots_near_the_axis_and_the_cut(theta, d):
     for c, m in rs.roots:
         assert m == 1
         assert min(abs(c - w) for w in want) < 1e-7
+
+
+# close root pairs next to c = 0, as the uniform bottom-edge step of 0.004
+# found them: two axis roots 0.0069 apart, whose moment seeds lie 0.05
+# off, and a mirror pair inside the axis pad, 0.0054 above the edge
+_CLOSE_PAIRS = {
+    (0.47389251813215494, 0.8443790071592243): (0.021755998870800694j, 0.01482423315681978j),
+    (0.49977385339860314, 0.8586155048669204): (0.006397930728607035 + 0.006398751826887254j,),
+}
+
+
+@pytest.mark.parametrize("theta, d", list(_CLOSE_PAIRS))
+def test_find_roots_close_pairs_next_to_the_origin(theta, d):
+    rs = find_roots(theta, d)
+    want = {w for z in _CLOSE_PAIRS[(theta, d)] for w in (z, -z, z.conjugate(), -z.conjugate())}
+    assert rs.count == 4 and len(rs.roots) == len(want)
+    assert all(min(abs(c - w) for w in want) < 1e-9 for c, _ in rs.roots)
 
 
 def test_search_box_must_be_well_formed():
@@ -511,11 +566,36 @@ _edges = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(edge=_edges, u=st.floats(0.01, 0.99))
-def test_edge_points_depend_only_on_the_edge(edge, u):
+# predicted cut-end roots, as _cut_end_root places them: (4,5) k = 1, a
+# draw with its root just above the default eps_cut, and roots at and
+# under the edges drawn above
+_roots = st.one_of(
+    st.none(),
+    st.sampled_from([0.9797787734336352 + 0.03237951449604355j,
+                     0.999260859728783 + 0.0012762528456374636j]),
+    st.builds(complex, st.floats(0.9, 1.05), st.floats(1e-5, 0.05)),
+)
+
+
+def _zones(horizontal, level, root):
+    """(from, to, step) of each zone of the sampling rule."""
+    h = max(2.0 * abs(level), 0.004)
+    if not horizontal:
+        return [(-1.3, 1.3, h)] if abs(level) < 0.15 else []
+    if abs(level) > 0.2:
+        return []
+    zones = [(-1.1, 1.1, max(h, 0.032)), (-0.1, 0.1, h), (-1.02, -0.98, h), (0.98, 1.02, h)]
+    if root is not None and root.imag != level:
+        height = abs(root.imag - level)
+        zones.append((root.real - 2 * height, root.real + 2 * height, height / 4))
+    return zones
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(edge=_edges, u=st.floats(0.01, 0.99), root=_roots)
+def test_edge_points_depend_only_on_the_edge(edge, u, root):
     a, b = edge
-    forward, backward = _edge_points(a, b), _edge_points(b, a)
+    forward, backward = _edge_points(a, b, root), _edge_points(b, a, root)
     assert forward[0] == a and backward[0] == b
     assert set(forward) | {b} == set(backward) | {a}
 
@@ -528,33 +608,53 @@ def test_edge_points_depend_only_on_the_edge(edge, u):
     def point(t):
         return complex(t, level) if horizontal else complex(level, t)
 
-    # the spacing rule of the direction-dependent walk this replaced
-    if horizontal:
-        fine, zone = abs(level) <= 0.2, 1.1
-    else:
-        fine, zone = abs(level) < 0.15, 1.3
-    h = max(2.0 * abs(level), 0.004)
+    zones = _zones(horizontal, level, root)
     ts = sorted(along(z) for z in set(forward) | {b})
     lo, hi = ts[0], ts[-1]
     coarse = (hi - lo) / 12.0
 
     def rule(t):
-        return min(h, coarse) if fine and abs(t) <= zone else coarse
+        return min([coarse] + [s for z0, z1, s in zones if z0 <= t <= z1])
 
     for p, q in zip(ts, ts[1:]):
         assert q - p <= min(rule(p), rule(q)) * (1 + 1e-9), (p, q)
 
-    # fine samples sit on the odd multiples of h/2, which every part keeps
-    lattice = [t for t in ts[1:-1] if fine and abs(t) <= zone + 1.001 * h
-               and abs(t / h - 0.5 - round(t / h - 0.5)) < 1e-9]
+    # each zone's lattice, the odd multiples of half its step from one
+    # step before the zone to one after, is sampled wherever no finer
+    # zone covers it, and every part of the edge keeps those samples
+    lattice = [t for z0, z1, s in zones
+               for t in ((k + 0.5) * s for k in range(math.ceil(max(lo, z0 - s) / s - 0.5),
+                                                       math.floor(min(hi, z1 + s) / s - 0.5) + 1))
+               if lo < t < hi and min([s] + [r for y0, y1, r in zones if y0 <= t <= y1]) == s]
+    assert set(lattice) <= set(ts)
     m = lo + u * (hi - lo)
     for c0, c1 in ((lo, m), (m, hi)):
-        part = {along(z) for z in _edge_points(point(c0), point(c1))}
+        part = {along(z) for z in _edge_points(point(c0), point(c1), root)}
         assert all(t in part for t in lattice if c0 < t < c1)
 
-    if horizontal and abs(level) <= 2e-3 and coarse >= h:
-        # next to the cut ends the samples stay h/2 away from x = +-1
+    h = max(2.0 * abs(level), 0.004)
+    clear = root is None or abs(abs(root.real) - 1.0) > 4 * abs(root.imag - level) + h
+    if horizontal and abs(level) <= 2e-3 and coarse >= h and clear:
+        # next to the cut ends the samples stay h/2 away from x = +-1,
+        # unless a window around a predicted root reaches there
         assert all(abs(abs(t) - 1.0) >= 0.5 * h - 1e-12 for t in ts[1:-1])
+
+
+def test_window_samples_the_bottom_edge_around_the_predicted_root():
+    # the draw of test_count_roots_where_the_cut_end_root_is_just_above_eps_cut:
+    # its root is 2.8e-4 above box A's bottom edge and 7.4e-4 left of c = 1
+    eps = RootSearchConfig().eps_cut
+    root = evans_mod._cut_end_root(-0.28118233937512227, 0.0025438940326028077)
+    a, b = complex(-_PAD, eps), complex(_C, eps)
+    plain, windowed = _edge_points(a, b), _edge_points(a, b, root)
+    height = root.imag - eps
+    near = sorted(z.real for z in windowed if abs(z.real - root.real) <= 2 * height)
+    assert len(near) >= 16 and max(np.diff(near)) <= height / 4 * (1 + 1e-9)
+    assert not any(abs(z.real - root.real) <= 2 * height for z in plain)
+    # outside the window the two sample sets agree
+    far = 2 * height + max(2 * eps, 0.004)
+    assert ({z for z in windowed if abs(z.real - root.real) > far}
+            == {z for z in plain if abs(z.real - root.real) > far})
 
 
 def _search_edge_points():
