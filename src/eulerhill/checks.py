@@ -17,8 +17,7 @@ import numpy as np
 
 from .conformal import Side, s_at_origin, s_of_c
 from .euler import spectrum_report
-from .evans import (_AXIS_PAD, _C_MAX, _SEED, DEFAULT_SEARCH, RootSearchConfig, _evans_batch,
-                    _winding_retry, evans)
+from .evans import DEFAULT_SEARCH, RootSearchConfig, _evans_batch, _walk, evans
 from .hill import discriminant, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
 from .lattice import Wavevector, class_line_count, class_point, companion_basis
@@ -113,24 +112,26 @@ def jacobi_counts(search, ps):
                   axis=tuple(1j * np.linspace(0.1, 1.5, 8)) + tuple(np.linspace(1.1, 4.0, 8)),
                   wronskian=((2.0, 0.3), (0.2j, 0.5), (0.4 + 0.6j, 0.8))))
 def symmetries(search, seed, n, im_min, theta, d, axis_class=None, axis=(), wronskian=()):
-    """E(conj c) = conj E(c) at n random c of the class (theta, d), E real
-    at the axis points of axis_class, and unit determinant of the RK4
-    monodromy at the (c, mu) of wronskian."""
+    """E(conj c) = conj E(c) and E(-c) = E(c), on which the root count
+    rests, at n random c of the class (theta, d), E real at the axis
+    points of axis_class, and unit determinant of the RK4 monodromy at
+    the (c, mu) of wronskian."""
     rng = np.random.default_rng(seed)
-    conj = 0.0
+    conj = even = 0.0
     for _ in range(n):
         c = complex(rng.uniform(-2, 2), rng.uniform(im_min, 2))
         a = evans(c, theta, d, search.disc)
         b = evans(c.conjugate(), theta, d, search.disc)
         conj = max(conj, abs(a.conjugate() - b))
-    detail = f"worst conjugation defect {conj:.1e}"
+        even = max(even, abs(evans(-c, theta, d, search.disc) - a))
+    detail = f"worst conjugation defect {conj:.1e}, evenness defect {even:.1e}"
     real = max((abs(evans(c, *axis_class, search.disc).imag) for c in axis), default=0.0)
     if axis:
         detail += f", axis reality {real:.1e}"
     det = max((abs(integrate_monodromy(c, mu).det - 1.0) for c, mu in wronskian), default=0.0)
     if wronskian:
         detail += f", Wronskian {det:.1e}"
-    return conj <= 1e-10 and real <= 1e-9 and det <= 10 * DEFAULT_TOL, detail
+    return max(conj, even) <= 1e-10 and real <= 1e-9 and det <= 10 * DEFAULT_TOL, detail
 
 
 @_check("sharpness at small p", full=dict(ps=SMALL_P, totals={(1, 1): 8, (1, 2): 24}))
@@ -154,37 +155,27 @@ def jacobi_pairing(search, cases):
     return worst <= 1e-4, f"worst pairing distance {worst:.2e}"
 
 
-def annulus_windings(fs, search: RootSearchConfig) -> tuple:
-    """Windings of fs over the two bands (x0, 4 c) x (c, 4 c) and
-    (c, 4 c) x (eps_cut, c), which with the search box (x0, c) x
-    (eps_cut, c), c = _C_MAX and x0 = -_AXIS_PAD, tile (x0, 4 c) x
-    (eps_cut, 4 c); fs is a list evaluator as in evans._winding."""
-    c, x0, y0 = _C_MAX, -_AXIS_PAD, search.eps_cut
-    cache: dict = {}
-    rng = np.random.default_rng(_SEED)
-    return tuple(_winding_retry(fs, band, cache, rng)[0]
-                 for band in ((x0, 4 * c, c, 4 * c), (c, 4 * c, y0, c)))
-
-
-@_check("no roots beyond the search box", full=dict(ps=SMALL_P))
-def beyond_the_box(search, ps):
-    """Winding 0 on both annulus bands beyond the search box, per class:
-    Howard's bound |c| <= 1 (evans module docstring), which lets the
-    root search skip this walk, checked by the walk itself."""
+@_check("no roots beyond the square of half-side 2", full=dict(ps=SMALL_P, half_side=2.0))
+def beyond_the_square(search, ps, half_side):
+    """Count 0 outside the square (-half_side, half_side)^2, per class: the
+    root count's quarter walk, on i a -> a + i a -> a with a = half_side,
+    covers everything outside the square out to infinity.  Howard's bound
+    |c| <= 1 (evans module docstring), on which the count does not rest,
+    checked by the walk itself."""
     n = 0
     for pp in ps:
         p = Wavevector(*pp)
         q = companion_basis(p)
         for k in range(1, p.p_sq):
             cp = class_point(p, q, k)
-            ws = annulus_windings(lambda cs: _evans_batch(cs, cp.theta, cp.d, search.disc),
-                                  search)
-            if any(ws):
-                return False, f"p={pp} k={k}: annulus windings {ws}"
+            count, _ = _walk(lambda cs: _evans_batch(cs, cp.theta, cp.d, search.disc),
+                             half_side, half_side)
+            if count:
+                return False, f"p={pp} k={k}: {count} roots outside the square"
             n += 1
-    return True, f"winding 0 on both bands for all {n} classes"
+    return True, f"no root outside the square of half-side {half_side:g} for all {n} classes"
 
 
 #: every check, in the order `eulerhill verify` prints them
 CHECKS = (closed_form_origin, oracle_agreement, slope_formula, jacobi_counts,
-          symmetries, sharpness, jacobi_pairing, beyond_the_box)
+          symmetries, sharpness, jacobi_pairing, beyond_the_square)

@@ -201,5 +201,5 @@ def test_criterion_11_symmetry_suite():
 
 
 def test_criterion_12_no_roots_beyond_the_search_box():
-    crit = Criterion(12, "annulus beyond the search box root-free for p^2 <= 25", 60.0)
-    crit.finish(*checks.beyond_the_box.run("full"))
+    crit = Criterion(12, "exterior of the square of half-side 2 root-free for p^2 <= 25", 60.0)
+    crit.finish(*checks.beyond_the_square.run("full"))

@@ -137,7 +137,7 @@ def test_evans_roots_json(capsys):
 
 
 def test_evans_roots_wrong_count_exits_1(capsys):
-    # region II predicts 4 roots; the windings at the default eps_cut give 2
+    # region II predicts 4 roots; the count at the default eps_cut is 2
     code = main(["evans-roots", "--theta", "0.1329", "--d", "0.4975"])
     captured = capsys.readouterr()
     assert code == 1
@@ -216,7 +216,7 @@ def test_closed_pipe_exits_1_without_traceback():
 
 
 def test_usage_error_exit_code():
-    # Howard's bound fixes the search box's outer edge, so --c-max is no flag
+    # the count needs no search box, so --c-max is no flag
     for argv in (["spectrum", "--p", "not-a-pair"], ["--c-max", "2", "spectrum", "--p", "1,2"],
                  ["--c-max=2", "spectrum", "--p", "1,2"]):
         with pytest.raises(SystemExit) as exc:
@@ -298,7 +298,7 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     (["--integrator-tol", "-1"], None, "integrator_tol"),
     ([], {"half_width": "8"}, "half_width"),
     ([], {"half_width": 8.5}, "half_width"),
-    ([], {"c_max": 2.0}, "c_max"),  # no setting: Howard's bound fixes the box
+    ([], {"c_max": 2.0}, "c_max"),  # no setting: the count needs no search box
     ([], {"fmt": "xml"}, "fmt"),
     ([], {"normalize": True}, "normalize"),
     ([], "{not json", "EULERHILL_DEFAULTS"),
@@ -306,6 +306,7 @@ def test_defaults_file_unknown_keys_exit_2(tmp_path, capsys, monkeypatch):
     (["--half-width", "401"], None, "half_width"),  # above the evaluator's cap
     ([], {"root_tol": 1e-10}, "root_tol"),
     ([], {"integrator_tol": 1e-9}, "integrator_tol"),
+    (["--eps-cut", "1"], None, "eps_cut"),  # no root lies above Im c = 1
 ])
 def test_bad_settings_exit_2(flags, file_values, name, tmp_path, capsys, monkeypatch):
     if file_values is not None:

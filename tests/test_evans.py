@@ -1,9 +1,11 @@
 """Evans function values, analytic properties, and root machinery."""
 
 import cmath
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from scipy.optimize import brentq
 
 from eulerhill import (
     BranchCutError,
+    ContourThroughRootError,
     ConvergenceError,
     DiscriminantConfig,
     OracleMismatchError,
@@ -33,9 +36,6 @@ from eulerhill import checks
 import eulerhill.evans as evans_mod
 from eulerhill.evans import _edge_points, evans
 from eulerhill.hill import discriminant_slope_at_zero
-
-#: the search box's axis pad and outer edge
-_PAD, _C = evans_mod._AXIS_PAD, evans_mod._C_MAX
 
 N16 = DiscriminantConfig(half_width=16)
 
@@ -200,19 +200,23 @@ def test_normal_derivative_sign_flip():
     assert below > 0.0 > above
 
 
-def test_guard_pass_annulus_is_quiet():
-    # the annulus beyond the search box, walked by `verify --level full`,
-    # holds no root of (0.1, 0.6); a root planted there shows
-    cfg = RootSearchConfig()
+def test_guard_pass_annulus_is_quiet(monkeypatch):
+    # the exterior of the square of half-side 2, counted by `verify
+    # --level full`, holds no root of the (1,2) classes; zeros planted
+    # there at +-2.5 +- 1j show.  The factor is even with real
+    # coefficients, so E keeps both symmetries the quarter walk rests on,
+    # and it tends to 1 at infinity: (c^2 - a^2)(c^2 - conj(a)^2) alone
+    # has a pole of order 4 there, which cancels its 4 zeros in the count
+    assert checks.beyond_the_square.fn(RootSearchConfig(), ps=((1, 2),), half_side=2.0)[0]
+    real = evans_mod._evans_batch
 
-    def fs(cs):
-        return evans_mod._evans_batch(cs, 0.1, 0.6, cfg.disc)
+    def planted(cs, theta, d, cfg=None):
+        return np.array([v * (1 - (2.5 + 1j) ** 2 / (c * c)) * (1 - (2.5 - 1j) ** 2 / (c * c))
+                         for c, v in zip(cs, real(cs, theta, d, cfg))])
 
-    def planted(cs):  # a mirror pair of zeros at +-2.5 + 1j, in the right band
-        return [v * (c - 2.5 - 1j) * (c + 2.5 - 1j) for c, v in zip(cs, fs(cs))]
-
-    assert checks.annulus_windings(fs, cfg) == (0, 0)
-    assert checks.annulus_windings(planted, cfg) == (0, 1)
+    monkeypatch.setattr(checks, "_evans_batch", planted)
+    ok, detail = checks.beyond_the_square.fn(RootSearchConfig(), ps=((1, 2),), half_side=2.0)
+    assert not ok and detail == "p=(1, 2) k=1: 4 roots outside the square"
 
 
 def test_count_mismatch_raises_oracle_error():
@@ -228,33 +232,45 @@ def test_find_roots_region_is_exact_at_d_zero():
 
 
 def test_count_roots_budget_is_charged_per_distinct_point(monkeypatch):
-    # count_roots(0.2, 0.6) evaluates 136 distinct contour points, a point
-    # left of the axis and its mirror twin counting once
-    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 135)
+    # count_roots(0.2, 0.6) evaluates 73 distinct points, 71 in the first
+    # batch and 2 in one refinement pass, each once
+    monkeypatch.setattr(evans_mod, "_MAX_PTS", 72)
     with pytest.raises(ConvergenceError):
         count_roots(0.2, 0.6)
-    monkeypatch.setattr(evans_mod, "_MAX_EVALS", 136)
+    monkeypatch.setattr(evans_mod, "_MAX_PTS", 73)
     assert count_roots(0.2, 0.6) == 2
 
 
 def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
     real = evans_mod._evans_batch
     batches = []
+    hits = [1]
 
     def zero_at_one_point(cs, theta, d, cfg=None):
         vals = real(cs, theta, d, cfg)
-        if not batches:
-            vals[5] = 0.0  # an edge point of the first rectangle's batch
+        if len(batches) < hits[0]:
+            vals[5] = 0.0  # a sample of the first batch of each of the first walks
         batches.append(list(cs))
         return vals
 
     monkeypatch.setattr(evans_mod, "_evans_batch", zero_at_one_point)
     assert count_roots(0.4, 0.6) == 4
-    # the first corner (-pad, eps_cut) is evaluated as its twin (pad, eps_cut)
-    twin = batches[0][0]
-    assert twin == complex(_PAD, RootSearchConfig().eps_cut)
-    assert twin not in batches[1]  # the retry walks a jittered rectangle
-    assert batches[1][0].real > twin.real and batches[1][0].imag < twin.imag
+    eps = RootSearchConfig().eps_cut
+    first, retry = batches[0], batches[1]
+    assert first[0] == complex(0.0, eps) and first[-1] == evans_mod._X
+    # the retry walks a path moved down towards, never onto, the cut
+    # and out past X, with no sample in common with the first
+    rng = np.random.default_rng(evans_mod._SEED)
+    x = evans_mod._X * (1.0 + 1e-3 * (1.0 + rng.random()))
+    y = eps * (1.0 - 0.5 * rng.random())
+    assert retry[0] == complex(0.0, y) and retry[-1] == x
+    assert eps / 2 < y < eps and not set(first) & set(retry)
+    # a hit on every walk raises after _RETRIES retries
+    batches.clear()
+    hits[0] = math.inf
+    with pytest.raises(ContourThroughRootError, match=r"after 6 jittered retries"):
+        count_roots(0.4, 0.6)
+    assert len(batches) == evans_mod._RETRIES + 1
 
 
 def test_find_roots_evaluation_count(monkeypatch):
@@ -269,32 +285,21 @@ def test_find_roots_evaluation_count(monkeypatch):
     monkeypatch.setattr(evans_mod, "_evans_batch", spy)
     rs = find_roots(0.4, 0.6)
     assert rs.count == 4
-    assert sum(sizes) == 144
+    assert sizes[0] == 71 and sum(sizes) == 83
 
 
 def test_unresolved_walk_raises(monkeypatch):
-    # with no refinement pass allowed, box A's walk keeps increments of
-    # pi/2 or more, and their rounded sum, -2, is no count
+    # with no refinement pass allowed, the walk keeps increments of pi/2
+    # or more, whose rounded sum need not be the count
     monkeypatch.setattr(evans_mod, "_MAX_PTS", 1)
-    with pytest.raises(ConvergenceError, match=r"walk of rectangle .* unresolved at \d+ samples"):
+    with pytest.raises(ConvergenceError,
+                       match=r"^walk 0\.001j -> \(1\.1\+0\.001j\) -> 1\.1 unresolved at 71 "
+                             r"samples: 1 argument increments still reach pi/2$"):
         count_roots(0.1, 0.6)
 
 
-def test_unjittered_count_evaluates_no_point_left_of_the_axis(monkeypatch):
-    real = evans_mod._evans_batch
-    seen = []
-
-    def spy(cs, theta, d, cfg=None):
-        seen.extend(cs)
-        return real(cs, theta, d, cfg)
-
-    monkeypatch.setattr(evans_mod, "_evans_batch", spy)
-    assert count_roots(0.4, 0.6) == 4
-    assert seen and min(c.real for c in seen) >= 0.0
-
-
 def test_every_root_lies_in_the_unit_disk():
-    # Howard's semicircle theorem, the reason no walk goes beyond _C_MAX
+    # Howard's semicircle theorem, which `verify --level full` checks
     classes = [(cp.theta, cp.d, cp.region) for pp in ((1, 2), (2, 3), (1, 3))
                for cp in _class_points(Wavevector(*pp))]
     # off-lattice draws 5 eps_cut or more from the three unit circles (and
@@ -313,14 +318,18 @@ def test_every_root_lies_in_the_unit_disk():
     assert max(abs(c) for c in roots) <= 1.0
 
 
-@pytest.mark.parametrize("zeros", [(0.3 + 0.4j,), (0.3 + 0.4j, -0.2 + 0.7j),
-                                   (0.3 + 0.4j, -0.2 + 0.7j, 0.5j)])
+@pytest.mark.parametrize("zeros", [(-0.5,), (0.3 - 0.4j, 0.3 + 0.4j),
+                                   (0.3 - 0.4j, 0.3 + 0.4j, -0.5), (-0.6, -0.55)])
 def test_moment_seeds_recover_the_zeros_of_a_polynomial(zeros):
-    # the trapezoid rule on the walk's chords is second order in the spacing
-    pts = [0.1 + 0.5j + np.exp(2j * math.pi * t) for t in np.linspace(0.0, 1.0, 401)]
-    pts[-1] = pts[0]
-    vals = [np.prod([z - a for a in zeros]) for z in pts]
-    seeds = evans_mod._moment_seeds(pts, vals, len(zeros))
+    # a real-coefficient polynomial in t on the open lower half of the
+    # circle |t - 0.1| = 0.9, from t = -0.8 to t = 1, where it is real;
+    # with its conjugate the walk encloses the zeros.  The trapezoid rule
+    # on the walk's chords is second order in the spacing.
+    ts = [0.1 + 0.9 * np.exp(-1j * math.pi * u) for u in np.linspace(1.0, 0.0, 401)]
+    ts[0], ts[-1] = -0.8, 1.0
+    vals = [np.prod([t - a for a in zeros]) for t in ts]
+    assert vals[0].imag == 0 and vals[-1].imag == 0
+    seeds = evans_mod._moment_seeds(ts, vals, len(zeros))
     assert len(seeds) == len(zeros)
     for a in zeros:
         assert min(abs(a - s) for s in seeds) < 1e-3
@@ -346,9 +355,9 @@ def test_both_searches_raise_one_message_where_the_count_misses_a_pair(monkeypat
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert re.match(r"2 eigenvalues counted at \(theta=0\.1329, d=0\.4975, mu=0\.2475\d*\) "
-                    r"in box A .* with eps_cut=0\.001, but region II predicts 4$", messages[0])
+                    r"with eps_cut=0\.001, but region II predicts 4$", messages[0])
     # a spectrum names the class in front of the same message
-    monkeypatch.setattr(evans_mod, "_count_windings", lambda *args: (0, 0, None, None))
+    monkeypatch.setattr(evans_mod, "_walk", lambda *args: (0, None))
     with pytest.raises(OracleMismatchError, match=r"^class k=1: 0 eigenvalues .* mu=.*eps_cut="):
         spectrum_report(Wavevector(1, 2), count_only=True)
 
@@ -423,23 +432,23 @@ def test_find_roots_takes_the_exact_region_of_class_data():
                          ids=["1", "34", "p78-1"])
 def test_find_roots_pairs_with_the_operator_on_hard_classes(p, k, M):
     # (4,5) k = 1: a root next to c = 1, far above eps_cut, that no
-    # unit-winding cell split could isolate; k = 34: a root inside the
-    # axis pad, whose mirror -conj(z) is in box A too; (7,8) k = 1, with
+    # unit-winding cell split could isolate; k = 34: a root within 0.0342
+    # of the imaginary axis and close to its mirror -conj(z); (7,8) k = 1, with
     # d = 0.00885 in region II, at M = 4 p^2: a root still nearer c = 1
     assert cross_validate(Wavevector(*p), k, M=M, pair_tol=1e-6)["count"] == 4
 
 
 def test_root_and_its_mirror_inside_the_axis_pad():
+    # a quadruplet within 0.0342 of the imaginary axis, off it
     p = Wavevector(4, 5)
     cp = class_point(p, companion_basis(p), 34)
     rs = find_roots(cp.theta, cp.d, expected_region=cp.region)
     assert len(rs.roots) == 4
-    assert all(0.0 < abs(c.real) < _PAD for c, _ in rs.roots)
+    assert all(0.0 < abs(c.real) < 0.0342 for c, _ in rs.roots)
 
 
 # first-quadrant roots of off-lattice draws, as recursive subdivision found
-# them: two axis roots near the cut and box A's left edge, and a quadruplet
-# inside the axis pad
+# them: two axis roots near the cut, and a quadruplet next to the axis
 _SUBDIVISION_ROOTS = {
     (0.468677236012843, 0.840254661394404): (0.02723676122491559j, 0.01609368025377249j),
     (0.46101549965040167, 0.8287792764551445): (0.013723488942897322 + 0.03111912558422645j,),
@@ -459,7 +468,7 @@ def test_find_roots_near_the_axis_and_the_cut(theta, d):
 
 # close root pairs next to c = 0, as the uniform bottom-edge step of 0.004
 # found them: two axis roots 0.0069 apart, whose moment seeds lie 0.05
-# off, and a mirror pair inside the axis pad, 0.0054 above the edge
+# off, and a quadruplet next to the axis, 0.0054 above the top edge
 _CLOSE_PAIRS = {
     (0.47389251813215494, 0.8443790071592243): (0.021755998870800694j, 0.01482423315681978j),
     (0.49977385339860314, 0.8586155048669204): (0.006397930728607035 + 0.006398751826887254j,),
@@ -475,13 +484,12 @@ def test_find_roots_close_pairs_next_to_the_origin(theta, d):
 
 
 def test_search_box_must_be_well_formed():
-    # an empty or inverted box would count roots wrongly without an error,
-    # and eps_cut <= 0 reaches the cut
-    for bad, name in ((dict(eps_cut=5.0), "eps_cut"), (dict(eps_cut=2.0), "eps_cut"),
-                      (dict(eps_cut=-0.01), "eps_cut"), (dict(eps_cut=0.0), "eps_cut"),
-                      (dict(eps_cut=math.nan), "eps_cut")):
-        with pytest.raises(ValueError, match=f"^{name} "):
-            RootSearchConfig(**bad)
+    # eps_cut <= 0 reaches the cut, and no root lies above Im c = 1
+    # (Howard's bound), so eps_cut >= 1 could only count 0
+    for bad in (5.0, 2.0, 1.0, -0.01, 0.0, math.nan):
+        with pytest.raises(ValueError, match=r"^eps_cut must lie in \(0, 1\), below Howard's"):
+            RootSearchConfig(eps_cut=bad)
+    assert RootSearchConfig(eps_cut=0.999).eps_cut == 0.999
 
 
 def test_newton_derivative_is_one_batch_and_bitwise_the_one_point_route(monkeypatch):
@@ -515,54 +523,32 @@ def _class_points(p):
     return [class_point(p, q, k) for k in range(1, p.p_sq)]
 
 
-def _classes(*ps):
-    return [(cp.theta, cp.d) for p in ps for cp in _class_points(p)]
+#: first-quadrant roots of every class of (4,5) and (7,8), as the box
+#: search that the quarter walk replaced placed them
+_COMMITTED_ROOTS = json.loads(
+    (Path(__file__).parent / "data" / "first_quadrant_roots_4_5_7_8.json").read_text())
 
 
-def test_strip_difference_equals_walking_box_b():
-    cfg = RootSearchConfig()
-    eps = cfg.eps_cut
-    seen = set()
-    for theta, d in _classes(Wavevector(1, 2), Wavevector(2, 3)) + [(0.4, 0.6)]:
-        def fs(cs):
-            return evans_mod._evans_batch(cs, theta, d, cfg.disc)
-        wa, wb, box_a, _ = evans_mod._count_windings(fs, cfg, {},
-                                                     np.random.default_rng(evans_mod._SEED))
-        assert box_a == (-_PAD, _C, eps, _C)  # not jittered: B is the fixed box
-        direct, _ = evans_mod._winding(fs, (_PAD, _C, eps, _C), {})
-        assert wb == direct, (theta, d, wa, wb, direct)
-        seen.add(direct)
-    assert seen == {0, 1}  # the quadruplet at (0.4, 0.6) has its root in B
+def test_first_quadrant_roots_match_the_committed_ones():
+    for key, rows in _COMMITTED_ROOTS.items():
+        p = Wavevector(*map(int, key.split(",")))
+        assert len(rows) == p.p_sq - 1
+        for cp in _class_points(p):
+            want = [complex(*z) for z in rows[str(cp.k)]]
+            rs = find_roots(cp.theta, cp.d, expected_region=cp.region)
+            got = [z for z, _ in rs.roots if z.real >= 0.0 and z.imag > 0.0]
+            assert len(got) == len(want), (key, cp.k)
+            assert all(min(abs(z - w) for z in got) < 1e-9 for w in want), (key, cp.k, got, want)
 
 
-def _rect_edges(x0, x1, y0, y1):
-    cs = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
-
-
-# the edges of box A and the strip at the default eps_cut and at a
-# user-set eps_cut of 5e-4, and of the annulus bands that `verify --level
-# full` walks
-_COUNT_EDGES = [
-    edge
-    for eps in (1e-3, 5e-4)
-    for rect in ((-_PAD, _C, eps, _C), (-_PAD, _PAD, eps, _C),
-                 (-_PAD, 4 * _C, _C, 4 * _C), (_C, 4 * _C, eps, _C))
-    for edge in _rect_edges(*rect)
-]
-
-
-def _span(lo, hi):
-    return st.tuples(st.floats(lo, hi), st.floats(lo, hi)).filter(
-        lambda ab: abs(ab[0] - ab[1]) >= 1e-4)
-
+# the top edges of the count's walk at the default eps_cut and at a
+# user-set one of 5e-4, and of the walk of `verify --level full`
+_TOP_EDGES = [(1e-3, evans_mod._X), (5e-4, evans_mod._X), (2.0, 2.0)]
 
 _edges = st.one_of(
-    st.sampled_from(_COUNT_EDGES),
-    st.builds(lambda y, xs: (complex(xs[0], y), complex(xs[1], y)),
-              st.floats(2.5e-4, 2e-3), _span(-8.1, 8.1)),
-    st.builds(lambda x, ys: (complex(x, ys[0]), complex(x, ys[1])),
-              st.floats(-0.2, 0.2), _span(2.5e-4, 8.1)),
+    st.sampled_from(_TOP_EDGES),
+    st.tuples(st.floats(2.5e-4, 2e-3), st.floats(1e-4, 8.1)),
+    st.tuples(st.floats(2.5e-4, 0.5), st.floats(0.5, 3.0)),
 )
 
 
@@ -577,14 +563,12 @@ _roots = st.one_of(
 )
 
 
-def _zones(horizontal, level, root):
+def _zones(level, root):
     """(from, to, step) of each zone of the sampling rule."""
-    h = max(2.0 * abs(level), 0.004)
-    if not horizontal:
-        return [(-1.3, 1.3, h)] if abs(level) < 0.15 else []
-    if abs(level) > 0.2:
+    h = max(2.0 * level, 0.004)
+    if level > 0.2:
         return []
-    zones = [(-1.1, 1.1, max(h, 0.032)), (-0.1, 0.1, h), (-1.02, -0.98, h), (0.98, 1.02, h)]
+    zones = [(-1.1, 1.1, max(h, 0.032)), (-0.1, 0.1, h), (0.98, 1.02, h)]
     if root is not None and root.imag != level:
         height = abs(root.imag - level)
         zones.append((root.real - 2 * height, root.real + 2 * height, height / 4))
@@ -592,26 +576,16 @@ def _zones(horizontal, level, root):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(edge=_edges, u=st.floats(0.01, 0.99), root=_roots)
-def test_edge_points_depend_only_on_the_edge(edge, u, root):
-    a, b = edge
-    forward, backward = _edge_points(a, b, root), _edge_points(b, a, root)
-    assert forward[0] == a and backward[0] == b
-    assert set(forward) | {b} == set(backward) | {a}
+@given(edge=_edges, root=_roots)
+def test_edge_points_depend_only_on_the_edge(edge, root):
+    level, end = edge
+    pts = _edge_points(level, end, root)
+    assert pts[0] == complex(0.0, level) and all(z.imag == level for z in pts)
+    ts = [z.real for z in pts] + [end]
+    assert all(p < q for p, q in zip(ts, ts[1:]))
 
-    horizontal = a.imag == b.imag
-    level = a.imag if horizontal else a.real
-
-    def along(z):
-        return z.real if horizontal else z.imag
-
-    def point(t):
-        return complex(t, level) if horizontal else complex(level, t)
-
-    zones = _zones(horizontal, level, root)
-    ts = sorted(along(z) for z in set(forward) | {b})
-    lo, hi = ts[0], ts[-1]
-    coarse = (hi - lo) / 12.0
+    zones = _zones(level, root)
+    coarse = end / 12.0
 
     def rule(t):
         return min([coarse] + [s for z0, z1, s in zones if z0 <= t <= z1])
@@ -621,32 +595,27 @@ def test_edge_points_depend_only_on_the_edge(edge, u, root):
 
     # each zone's lattice, the odd multiples of half its step from one
     # step before the zone to one after, is sampled wherever no finer
-    # zone covers it, and every part of the edge keeps those samples
+    # zone covers it
     lattice = [t for z0, z1, s in zones
-               for t in ((k + 0.5) * s for k in range(math.ceil(max(lo, z0 - s) / s - 0.5),
-                                                       math.floor(min(hi, z1 + s) / s - 0.5) + 1))
-               if lo < t < hi and min([s] + [r for y0, y1, r in zones if y0 <= t <= y1]) == s]
+               for t in ((k + 0.5) * s for k in range(math.ceil(max(0.0, z0 - s) / s - 0.5),
+                                                       math.floor(min(end, z1 + s) / s - 0.5) + 1))
+               if 0.0 < t < end and min([s] + [r for y0, y1, r in zones if y0 <= t <= y1]) == s]
     assert set(lattice) <= set(ts)
-    m = lo + u * (hi - lo)
-    for c0, c1 in ((lo, m), (m, hi)):
-        part = {along(z) for z in _edge_points(point(c0), point(c1), root)}
-        assert all(t in part for t in lattice if c0 < t < c1)
 
-    h = max(2.0 * abs(level), 0.004)
-    clear = root is None or abs(abs(root.real) - 1.0) > 4 * abs(root.imag - level) + h
-    if horizontal and abs(level) <= 2e-3 and coarse >= h and clear:
-        # next to the cut ends the samples stay h/2 away from x = +-1,
+    h = max(2.0 * level, 0.004)
+    clear = root is None or abs(root.real - 1.0) > 4 * abs(root.imag - level) + h
+    if level <= 2e-3 and coarse >= h and clear:
+        # next to the cut end the samples stay h/2 away from x = 1,
         # unless a window around a predicted root reaches there
-        assert all(abs(abs(t) - 1.0) >= 0.5 * h - 1e-12 for t in ts[1:-1])
+        assert all(abs(t - 1.0) >= 0.5 * h - 1e-12 for t in ts[1:-1])
 
 
 def test_window_samples_the_bottom_edge_around_the_predicted_root():
     # the draw of test_count_roots_where_the_cut_end_root_is_just_above_eps_cut:
-    # its root is 2.8e-4 above box A's bottom edge and 7.4e-4 left of c = 1
+    # its root is 2.8e-4 above the walk's top edge and 7.4e-4 left of c = 1
     eps = RootSearchConfig().eps_cut
     root = evans_mod._cut_end_root(-0.28118233937512227, 0.0025438940326028077)
-    a, b = complex(-_PAD, eps), complex(_C, eps)
-    plain, windowed = _edge_points(a, b), _edge_points(a, b, root)
+    plain, windowed = _edge_points(eps, evans_mod._X), _edge_points(eps, evans_mod._X, root)
     height = root.imag - eps
     near = sorted(z.real for z in windowed if abs(z.real - root.real) <= 2 * height)
     assert len(near) >= 16 and max(np.diff(near)) <= height / 4 * (1 + 1e-9)
@@ -657,20 +626,29 @@ def test_window_samples_the_bottom_edge_around_the_predicted_root():
             == {z for z in plain if abs(z.real - root.real) > far})
 
 
-def _search_edge_points():
-    # box A and the strip at the default eps_cut and at a user-set one of
-    # 5e-4, their bottom edges next to the cut
-    return sorted({z for eps in (RootSearchConfig().eps_cut, 5e-4)
-                   for rect in ((-_PAD, _C, eps, _C), (-_PAD, _PAD, eps, _C))
-                   for a, b in _rect_edges(*rect) for z in _edge_points(a, b)},
-                  key=lambda z: (z.real, z.imag))
+def _count_walk(theta, d):
+    """The count's final walk (points, values) at the default settings."""
+    return evans_mod._walk(lambda cs: evans_mod._evans_batch(cs, theta, d), evans_mod._X,
+                           RootSearchConfig().eps_cut, evans_mod._cut_end_root(theta, d))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(theta=st.floats(-0.5, 0.5), mu=st.floats(1e-4, 1.0))
+def test_walk_samples_are_bitwise_even_and_conjugate(theta, mu):
+    # E(-c) = E(c) and E(conj c) = conj E(c), on which the quarter walk's
+    # count rests, hold bitwise at the walk's own samples
+    d = math.sqrt(mu)
+    _, (pts, vals) = _count_walk(theta, d)
+    here = evans_mod._evans_batch(pts, theta, d)
+    assert np.array_equal(here, vals)
+    assert np.array_equal(evans_mod._evans_batch([-c for c in pts], theta, d), here)
+    assert np.array_equal(evans_mod._evans_batch([c.conjugate() for c in pts], theta, d),
+                          here.conj())
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(c=st.sampled_from(_search_edge_points()), theta=st.floats(-0.5, 0.5),
-       mu=st.floats(0.0, 1.0))
-def test_mirror_twin_value_is_the_conjugate(c, theta, mu):
-    d = math.sqrt(mu)
-    here = evans_mod._evans_batch([c], theta, d)[0]
-    twin = evans_mod._evans_batch([-c.conjugate()], theta, d)[0]
-    assert abs(twin - here.conjugate()) <= 1e-13 * abs(here), (c, theta, mu, here, twin)
+@given(theta=st.floats(-0.5, 0.5), d=st.floats(1e-3, 1.2))
+def test_quarter_walk_argument_change_is_a_whole_multiple_of_half_pi(theta, d):
+    count, (pts, vals) = _count_walk(theta, d)
+    change = sum(cmath.phase(vals[i] / vals[i - 1]) for i in range(1, len(vals)))
+    assert abs(change / (math.pi / 2) - count) <= 1e-9, (theta, d, change)
