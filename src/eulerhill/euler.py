@@ -64,7 +64,7 @@ def full_evans(p: Wavevector, lam: complex, cfg: DiscriminantConfig | None = Non
         c = 1j * lam / k
         try:
             factor = evans(c, cp.theta, cp.d, cfg)
-        except (BranchCutError, EulerHillError) as exc:
+        except EulerHillError as exc:
             raise BranchCutError(
                 f"factor k={k}: c = i*lambda/k = {c} is not evaluable: {exc}"
             ) from exc

@@ -26,10 +26,11 @@ extra evaluation, each seed's deflated by the roots reached before it.
 Sampling: the cut [-1, 1] is avoided by keeping Im c >= eps_cut; the
 walk's top edge is sampled graded because roots of small-d classes
 approach the real axis and a coarse walk can alias away their phase
-winding.  It is fine near the imaginary axis and at the cut end; above
-the rest of the cut it is coarse but for a window around the root next
-to c = 1 that the small-mu model E ~ 2 cos(2 pi theta) - 2 - d^2 S(c)
-predicts, S being the slope of Delta at mu = 0.
+winding.  Each zone has a grid at its own step, kept where no finer
+zone covers it: fine next to the imaginary axis, at the cut end and in
+a window around the root next to c = 1 that the small-mu model
+E ~ 2 cos(2 pi theta) - 2 - d^2 S(c) predicts, S being the slope of
+Delta at mu = 0, and coarse elsewhere.
 
 Every root off the real axis lies in the closed unit disk (Howard,
 J. Fluid Mech. 10, 1961, 509-512).  The class equation
@@ -143,6 +144,12 @@ class RootSearchConfig:
 DEFAULT_SEARCH = RootSearchConfig()
 
 
+def _two_cos(theta: float) -> float:
+    """2 cos(2 pi theta) of theta reduced exactly: math.remainder(theta, 1)
+    is theta - round(theta), and every |theta| <= 1/2 passes unchanged."""
+    return 2.0 * math.cos(TWO_PI * math.remainder(theta, 1.0))
+
+
 def evans(c, theta: float, d: float, cfg: DiscriminantConfig | None = None,
           side: Side | None = None) -> complex:
     """Evans function of the class with parameters (theta, d)."""
@@ -153,13 +160,13 @@ def evans(c, theta: float, d: float, cfg: DiscriminantConfig | None = None,
         sp = s_at_origin(side)
     else:
         sp = s_of_c(c)
-    return 2.0 * math.cos(TWO_PI * theta) - discriminant(sp, d * d, cfg)
+    return _two_cos(theta) - discriminant(sp, d * d, cfg)
 
 
 def _evans_batch(cs, theta: float, d: float, cfg: DiscriminantConfig | None = None) -> np.ndarray:
     """evans() at many points off the cut, through one discriminant_batch call."""
     sps = [s_of_c(c) for c in cs]
-    return 2.0 * math.cos(TWO_PI * theta) - discriminant_batch(sps, d * d, cfg)
+    return _two_cos(theta) - discriminant_batch(sps, d * d, cfg)
 
 
 class _ContourHit(Exception):
@@ -169,45 +176,33 @@ class _ContourHit(Exception):
 def _edge_points(level: float, end: float, root: complex | None = None):
     """Samples of the top edge i level -> end + i level, excluding its end.
 
-    Spacing is bounded by end/12 everywhere, and more finely just above
-    the cut (level <= 0.2), with h = max(2 level, 0.004): by
-    max(h, _COARSE_STEP) over x <= _X, by h over x <= _AXIS_ZONE and in
-    the cut-end shadow |x - 1| <= _CUT_ZONE, and by _WINDOW_STEP times
-    the height of root above the edge in a window of _WINDOW_WIDTH such
-    heights either side of Re root (root is the class's predicted
-    cut-end root, or None).  Each zone's samples are the odd multiples
-    of half its step that no finer zone covers, taken one step beyond
-    the zone, so with no window the samples next to the cut end sit at
-    x = 1 -+ h/2, not on x = 1.  Between them the samples are evenly
-    spaced.
+    The samples are x = 0 and each zone's grid point in (0, end) that no
+    zone with a finer step covers; a zone's grid is the odd multiples of
+    half its step from one step before the zone to one after.  With
+    h = max(2 level, 0.004) the zones (from, to, step) are the base zone
+    (-end, end, end/12), (-_X, _X, max(h, _COARSE_STEP)), |x| <= _AXIS_ZONE
+    and |x - 1| <= _CUT_ZONE at step h, and the window of _WINDOW_WIDTH
+    heights of root above the edge either side of Re root at _WINDOW_STEP
+    heights (root is the class's predicted cut-end root, or None).  So no
+    step exceeds end/12, and with no window the samples next to the cut
+    end sit at x = 1 -+ h/2, not on x = 1.
     """
     h = max(2.0 * level, 0.004)
-    zones = []  # (from, to, step)
-    if level <= 0.2:
-        zones += [(-_X, _X, max(h, _COARSE_STEP)), (-_AXIS_ZONE, _AXIS_ZONE, h),
-                  (1.0 - _CUT_ZONE, 1.0 + _CUT_ZONE, h)]
-        if root is not None and root.imag != level:
-            height = abs(root.imag - level)
-            zones.append((root.real - _WINDOW_WIDTH * height, root.real + _WINDOW_WIDTH * height,
-                          _WINDOW_STEP * height))
-
-    def step(t):
-        return min([s for z0, z1, s in zones if z0 <= t <= z1], default=math.inf)
-
-    coarse = end / 12.0
-    knots = {0.0, end}
-    for z0, z1, s in zones:
-        k0 = math.ceil(max(0.0, z0 - s) / s - 0.5)
-        k1 = math.floor(min(end, z1 + s) / s - 0.5)
-        knots.update(t for t in ((k + 0.5) * s for k in range(k0, k1 + 1))
-                     if 0.0 < t < end and step(t) >= s)
-    knots = sorted(knots)
-
-    ts = []
-    for p, q in zip(knots, knots[1:]):
-        n = max(1, math.ceil((q - p) / min(coarse, step(p), step(q)) - 1e-9))
-        ts += [p + (q - p) * (i / n) for i in range(n)]
-    return [complex(t, level) for t in ts]
+    zones = [(-end, end, end / 12.0), (-_X, _X, max(h, _COARSE_STEP)),
+             (-_AXIS_ZONE, _AXIS_ZONE, h), (1.0 - _CUT_ZONE, 1.0 + _CUT_ZONE, h)]
+    if root is not None and root.imag != level:
+        height = abs(root.imag - level)
+        zones.append((root.real - _WINDOW_WIDTH * height, root.real + _WINDOW_WIDTH * height,
+                      _WINDOW_STEP * height))
+    lo, hi, steps = np.array(zones).T
+    grids = [(np.arange(math.ceil(max(0.0, z0 - s) / s - 0.5),
+                        math.floor(min(end, z1 + s) / s - 0.5) + 1, dtype=float) + 0.5) * s
+             for z0, z1, s in zones]
+    t = np.concatenate(grids)
+    step = np.repeat(steps, [g.size for g in grids])
+    finer = (lo <= t[:, None]) & (t[:, None] <= hi) & (steps < step[:, None])
+    keep = (t < end) & ~finer.any(axis=1)  # each grid starts at s/2 > 0 or later
+    return (np.unique(np.append(t[keep], 0.0)) + 1j * level).tolist()
 
 
 def _quarter_walk(f, x, y, root=None):
@@ -335,7 +330,7 @@ def _cut_end_root(theta: float, d: float) -> complex | None:
     returned; None when there is none, at d = 0 or a = 0, or where the
     model is not finite.
     """
-    a = 2.0 * math.cos(TWO_PI * theta) - 2.0
+    a = _two_cos(theta) - 2.0
     if a == 0.0 or d == 0.0:
         return None
     r = math.pi**2 * d * d / a

@@ -392,6 +392,13 @@ def test_count_roots_where_the_cut_end_root_is_just_above_eps_cut():
                        expected_region=RegionTag.REGION_II) == 4
 
 
+def test_theta_is_reduced_exactly_before_its_cosine():
+    # 1e13 + 0.3 is the float 10000000000000.30078125, of the class
+    # theta = 0.30078125; 2**52 is of the class theta = 0, region I
+    assert find_roots(1e13 + 0.3, 0.5).roots == find_roots(0.30078125, 0.5).roots
+    assert count_roots(2.0**52, 0.5) == 2
+
+
 def test_short_count_names_the_predicted_root_under_eps_cut():
     with pytest.raises(OracleMismatchError,
                        match=r"predicts 4; the small-mu model puts a root at "
@@ -541,6 +548,17 @@ def test_first_quadrant_roots_match_the_committed_ones():
             assert all(min(abs(z - w) for z in got) < 1e-9 for w in want), (key, cp.k, got, want)
 
 
+@pytest.mark.parametrize("key, eps_cut", [("4,5", 0.05), ("4,5", 0.3), ("7,8", 0.05)])
+def test_counts_at_a_user_set_eps_cut_tally_the_committed_roots_above_it(key, eps_cut):
+    # at these margins h exceeds end/12, so the top edge is sampled by
+    # the base zone and the window alone; each root above eps_cut is
+    # counted, 2 on the imaginary axis and 4 elsewhere
+    cfg = RootSearchConfig(eps_cut=eps_cut)
+    for cp in _class_points(Wavevector(*map(int, key.split(",")))):
+        above = [complex(*z) for z in _COMMITTED_ROOTS[key][str(cp.k)] if z[1] > eps_cut]
+        assert count_roots(cp.theta, cp.d, cfg) == evans_mod._tally(above), (key, cp.k)
+
+
 # the top edges of the count's walk at the default eps_cut and at a
 # user-set one of 5e-4, and of the walk of `verify --level full`
 _TOP_EDGES = [(1e-3, evans_mod._X), (5e-4, evans_mod._X), (2.0, 2.0)]
@@ -563,12 +581,10 @@ _roots = st.one_of(
 )
 
 
-def _zones(level, root):
+def _zones(level, end, root):
     """(from, to, step) of each zone of the sampling rule."""
     h = max(2.0 * level, 0.004)
-    if level > 0.2:
-        return []
-    zones = [(-1.1, 1.1, max(h, 0.032)), (-0.1, 0.1, h), (0.98, 1.02, h)]
+    zones = [(-end, end, end / 12), (-1.1, 1.1, max(h, 0.032)), (-0.1, 0.1, h), (0.98, 1.02, h)]
     if root is not None and root.imag != level:
         height = abs(root.imag - level)
         zones.append((root.real - 2 * height, root.real + 2 * height, height / 4))
@@ -584,27 +600,26 @@ def test_edge_points_depend_only_on_the_edge(edge, root):
     ts = [z.real for z in pts] + [end]
     assert all(p < q for p, q in zip(ts, ts[1:]))
 
-    zones = _zones(level, root)
-    coarse = end / 12.0
+    zones = _zones(level, end, root)
 
     def rule(t):
-        return min([coarse] + [s for z0, z1, s in zones if z0 <= t <= z1])
+        return min(s for z0, z1, s in zones if z0 <= t <= z1)
 
     for p, q in zip(ts, ts[1:]):
         assert q - p <= min(rule(p), rule(q)) * (1 + 1e-9), (p, q)
 
-    # each zone's lattice, the odd multiples of half its step from one
-    # step before the zone to one after, is sampled wherever no finer
-    # zone covers it
+    # the samples are x = 0 and each zone's lattice, the odd multiples
+    # of half its step from one step before the zone to one after,
+    # wherever no finer zone covers it
     lattice = [t for z0, z1, s in zones
                for t in ((k + 0.5) * s for k in range(math.ceil(max(0.0, z0 - s) / s - 0.5),
                                                        math.floor(min(end, z1 + s) / s - 0.5) + 1))
                if 0.0 < t < end and min([s] + [r for y0, y1, r in zones if y0 <= t <= y1]) == s]
-    assert set(lattice) <= set(ts)
+    assert set(lattice) | {0.0, end} == set(ts)
 
     h = max(2.0 * level, 0.004)
     clear = root is None or abs(root.real - 1.0) > 4 * abs(root.imag - level) + h
-    if level <= 2e-3 and coarse >= h and clear:
+    if level <= 2e-3 and end / 12 >= h and clear:
         # next to the cut end the samples stay h/2 away from x = 1,
         # unless a window around a predicted root reaches there
         assert all(abs(t - 1.0) >= 0.5 * h - 1e-12 for t in ts[1:-1])
