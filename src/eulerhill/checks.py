@@ -17,7 +17,7 @@ import numpy as np
 
 from .conformal import Side, s_at_origin, s_of_c
 from .euler import spectrum_report
-from .evans import DEFAULT_SEARCH, RootSearchConfig, _evans_batch, _walk, evans
+from .evans import DEFAULT_SEARCH, RootSearchConfig, _evans_batch, _quarter_walk, evans
 from .hill import discriminant, discriminant_slope_at_zero
 from .jacobi import cross_validate, jacobi_spectrum
 from .lattice import Wavevector, class_line_count, class_point, companion_basis
@@ -168,8 +168,8 @@ def beyond_the_square(search, ps, half_side):
         q = companion_basis(p)
         for k in range(1, p.p_sq):
             cp = class_point(p, q, k)
-            count, _ = _walk(lambda cs: _evans_batch(cs, cp.theta, cp.d, search.disc),
-                             half_side, half_side)
+            count, _ = _quarter_walk(lambda cs: _evans_batch(cs, cp.theta, cp.d, search.disc),
+                                     half_side, half_side)
             if count:
                 return False, f"p={pp} k={k}: {count} roots outside the square"
             n += 1

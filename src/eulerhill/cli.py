@@ -20,7 +20,7 @@ import numpy as np
 from . import checks
 from . import euler as euler_mod
 from .conformal import s_of_c
-from .errors import BranchCutError, EulerHillError, SingularPotentialError
+from .errors import BranchCutError, CoprimalityError, EulerHillError, SingularPotentialError
 from .evans import RootSearchConfig, find_roots
 from .hill import DiscriminantConfig, discriminant, discriminant_batch
 from .lattice import Wavevector, classify_rational
@@ -67,11 +67,14 @@ def positive_int(text: str) -> int:
     return n
 
 
-def parse_pair(text: str):
+def parse_pair(text: str) -> Wavevector:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected a pair P1,P2")
-    return int(parts[0]), int(parts[1])
+    try:
+        return Wavevector(int(parts[0]), int(parts[1]))
+    except CoprimalityError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _write(args, lines):
@@ -194,8 +197,7 @@ def cmd_evans_roots(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    p = Wavevector(*args.p)
-    report = euler_mod.spectrum_report(p, args.search, count_only=args.count_only)
+    report = euler_mod.spectrum_report(args.p, args.search, count_only=args.count_only)
     if args.fmt == "csv":
         rows = ["k,theta_num,theta_den,d_num,d_den,region,count,roots_lambda"]
         for cs in report.per_class:

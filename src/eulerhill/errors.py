@@ -34,7 +34,7 @@ class ConvergenceError(EulerHillError):
 
 
 class ContourThroughRootError(EulerHillError):
-    """A winding contour repeatedly passes through a zero."""
+    """A winding contour passes through, or indistinguishably near, a zero."""
 
 
 class EigenError(EulerHillError):

@@ -82,14 +82,11 @@ TWO_PI = 2.0 * math.pi
 # Fixed search settings: the half-length X of the rectangle around the
 # cut whose exterior the count covers, which also ends the top edge's
 # coarse zone, the axis snap tolerance, the Newton steps per root and
-# the |E| that ends them, the jittered retries of a walk that hits a
-# zero and their rng seed, and the samples a walk may take.
+# the |E| that ends them, and the samples a walk may take.
 _X = 1.1
 _SNAP_TOL = 2e-8
 _NEWTON_STEPS = 80
 _ROOT_TOL = 1e-10
-_RETRIES = 6
-_SEED = 20250810
 _MAX_PTS = 20000
 
 # Top-edge sampling (_edge_points):
@@ -128,8 +125,7 @@ class RootSearchConfig:
     count 0; `eulerhill verify --level full` checks that bound.  Roots
     are seeded from the contour moments of the count's walk, not
     isolated by subdividing it, so there is no depth limit.  Fixed, not
-    settable: _X, _SNAP_TOL, _NEWTON_STEPS, _ROOT_TOL, _RETRIES, _SEED
-    and _MAX_PTS.
+    settable: _X, _SNAP_TOL, _NEWTON_STEPS, _ROOT_TOL and _MAX_PTS.
     """
 
     eps_cut: float = 1e-3
@@ -167,10 +163,6 @@ def _evans_batch(cs, theta: float, d: float, cfg: DiscriminantConfig | None = No
     """evans() at many points off the cut, through one discriminant_batch call."""
     sps = [s_of_c(c) for c in cs]
     return _two_cos(theta) - discriminant_batch(sps, d * d, cfg)
-
-
-class _ContourHit(Exception):
-    """Internal: contour passes through (or indistinguishably near) a zero."""
 
 
 def _edge_points(level: float, end: float, root: complex | None = None):
@@ -219,15 +211,16 @@ def _quarter_walk(f, x, y, root=None):
     are evaluated in one call, then the midpoints of each refinement
     pass in one more, until every argument increment is below pi/2.  A
     pass that would take the walk past _MAX_PTS samples raises
-    ConvergenceError.  A sample falling on a zero raises _ContourHit so
-    the caller can jitter the path.  Returns the count and the final
-    walk (points, values).
+    ConvergenceError.  A sample where |f| < 1e-13, on or next to a zero,
+    raises ContourThroughRootError at once: the path is the caller's and
+    is not moved.  Returns the count and the final walk (points, values).
     """
     def F(zs):
         vals = list(f(zs))
         for z, v in zip(zs, vals):
             if abs(v) < 1e-13:
-                raise _ContourHit(z)
+                raise ContourThroughRootError(f"walk sample c = {z} lies on a zero: "
+                                              f"|E| = {abs(v):.1e} < 1e-13")
         return vals
 
     n = math.ceil(12.0 * y / x)
@@ -250,25 +243,6 @@ def _quarter_walk(f, x, y, root=None):
 
     change = sum(cmath.phase(vals[i] / vals[i - 1]) for i in range(1, len(vals)))
     return int(round(2.0 * change / math.pi)), (pts, vals)
-
-
-def _walk(f, x, y, root=None):
-    """_quarter_walk with jittered retries on contour hits.
-
-    Each retry moves x out by 1e-3 to 2e-3 of itself and y down to
-    between y/2 and y, drawn from rng _SEED, so a walk never reaches the
-    cut; after _RETRIES of them ContourThroughRootError is raised.
-    """
-    rng = np.random.default_rng(_SEED)
-    x0, y0 = x, y
-    for _ in range(_RETRIES + 1):
-        try:
-            return _quarter_walk(f, x, y, root)
-        except _ContourHit as hit:
-            last = hit
-            x = x0 * (1.0 + 1e-3 * (1.0 + rng.random()))
-            y = y0 * (1.0 - 0.5 * rng.random())
-    raise ContourThroughRootError(f"walk failed after {_RETRIES} jittered retries: {last}")
 
 
 def _newton(fs, z0):
@@ -353,13 +327,19 @@ def _count_class(theta, d, cfg, region):
     _cut_end_root predicts.  Unless region is None, the count must be
     the one it predicts, or OracleMismatchError names the class, mu and
     eps_cut, and, when a region II count falls short and the predicted
-    root lies under eps_cut, that root.  Returns (count, the final walk,
-    the list evaluator) for Newton to go on from.
+    root lies under eps_cut, that root.  A walk that samples a zero or
+    stays unresolved raises its error with the class, mu and eps_cut in
+    front.  Returns (count, the final walk, the list evaluator) for
+    Newton to go on from.
     """
     _check_class(theta, d)
     root = _cut_end_root(theta, d)
     fs = lambda cs: _evans_batch(cs, theta, d, cfg.disc)
-    total, walk = _walk(fs, _X, cfg.eps_cut, root)
+    try:
+        total, walk = _quarter_walk(fs, _X, cfg.eps_cut, root)
+    except (ContourThroughRootError, ConvergenceError) as exc:
+        raise type(exc)(f"(theta={theta}, d={d}, mu={d * d}) with eps_cut={cfg.eps_cut}: "
+                        f"{exc}") from exc
     if region is not None and total != ROOT_COUNT_BY_REGION[region]:
         want = ROOT_COUNT_BY_REGION[region]
         under = ""

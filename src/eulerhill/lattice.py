@@ -197,9 +197,9 @@ def class_point(p: Wavevector, q: CompanionBasis, k: int) -> ClassPoint:
     if 2 * t > P:
         t -= P
     l = (t - k * q.dot_pq) // P
-    cp = ClassPoint(k=k, theta_num=t, p_sq=P, l=l, region=RegionTag.REGION_0)
-    region = classify(cp)
-    return ClassPoint(k=k, theta_num=t, p_sq=P, l=l, region=region)
+    inside, on = _circle_memberships(t, k, P)
+    return ClassPoint(k=k, theta_num=t, p_sq=P, l=l,
+                      region=_tag_from_memberships(len(inside), len(on), False))
 
 
 def representative(p: Wavevector, q: CompanionBasis, cp: ClassPoint):
@@ -237,14 +237,17 @@ def lattice_points_in_disk(p: Wavevector):
 
 
 def class_line_count(p: Wavevector, q: CompanionBasis, k: int) -> int:
-    """Number of lattice points k*q + m*p strictly inside the unstable disk."""
+    """Number of lattice points k*q + m*p strictly inside the unstable disk.
+
+    With P = p^2, Lagrange's identity P |q|^2 - (p.q)^2 = 1 gives
+    P |k q + m p|^2 = (P m + b)^2 + k^2 with b = k p.q, so the points are
+    the m with |P m + b| <= r = isqrt(P^2 - k^2 - 1), none when |k| >= P.
+    """
     if k == 0:
         raise TrivialClassError("k = 0 is the line through the origin")
     P = p.p_sq
-    count = 0
-    for m in range(-P - 1, P + 2):
-        a1 = k * q.q1 + m * p.p1
-        a2 = k * q.q2 + m * p.p2
-        if 0 < a1 * a1 + a2 * a2 < P:
-            count += 1
-    return count
+    if abs(k) >= P:
+        return 0
+    r = isqrt(P * P - k * k - 1)
+    b = k * q.dot_pq
+    return (r - b) // P + (r + b) // P + 1

@@ -200,6 +200,6 @@ def test_criterion_11_symmetry_suite():
     crit.finish(*checks.symmetries.run("full"))
 
 
-def test_criterion_12_no_roots_beyond_the_search_box():
+def test_criterion_12_no_roots_beyond_the_square():
     crit = Criterion(12, "exterior of the square of half-side 2 root-free for p^2 <= 25", 60.0)
     crit.finish(*checks.beyond_the_square.run("full"))

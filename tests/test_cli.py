@@ -216,9 +216,11 @@ def test_closed_pipe_exits_1_without_traceback():
 
 
 def test_usage_error_exit_code():
-    # the count needs no search box, so --c-max is no flag
+    # the count needs no search box, so --c-max is no flag; a --p that is
+    # not coprime is refused by argparse, like one that is not a pair
     for argv in (["spectrum", "--p", "not-a-pair"], ["--c-max", "2", "spectrum", "--p", "1,2"],
-                 ["--c-max=2", "spectrum", "--p", "1,2"]):
+                 ["--c-max=2", "spectrum", "--p", "1,2"], ["spectrum", "--p", "2,4"],
+                 ["spectrum", "--p", "0,0"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -200,7 +200,7 @@ def test_normal_derivative_sign_flip():
     assert below > 0.0 > above
 
 
-def test_guard_pass_annulus_is_quiet(monkeypatch):
+def test_square_exterior_is_root_free_and_planted_zeros_show(monkeypatch):
     # the exterior of the square of half-side 2, counted by `verify
     # --level full`, holds no root of the (1,2) classes; zeros planted
     # there at +-2.5 +- 1j show.  The factor is even with real
@@ -231,7 +231,7 @@ def test_find_roots_region_is_exact_at_d_zero():
     assert rs.region_predicted == RegionTag.CORNER
 
 
-def test_count_roots_budget_is_charged_per_distinct_point(monkeypatch):
+def test_walk_sample_cap_counts_each_distinct_point(monkeypatch):
     # count_roots(0.2, 0.6) evaluates 73 distinct points, 71 in the first
     # batch and 2 in one refinement pass, each once
     monkeypatch.setattr(evans_mod, "_MAX_PTS", 72)
@@ -241,36 +241,25 @@ def test_count_roots_budget_is_charged_per_distinct_point(monkeypatch):
     assert count_roots(0.2, 0.6) == 2
 
 
-def test_zero_in_first_batch_jitters_the_rectangle(monkeypatch):
+def test_zero_in_first_batch_raises_naming_the_class(monkeypatch):
+    # the walk is the caller's: a sample on a zero raises at once, with no
+    # second walk on a moved path
     real = evans_mod._evans_batch
     batches = []
-    hits = [1]
 
     def zero_at_one_point(cs, theta, d, cfg=None):
         vals = real(cs, theta, d, cfg)
-        if len(batches) < hits[0]:
-            vals[5] = 0.0  # a sample of the first batch of each of the first walks
+        vals[5] = 0.0
         batches.append(list(cs))
         return vals
 
     monkeypatch.setattr(evans_mod, "_evans_batch", zero_at_one_point)
-    assert count_roots(0.4, 0.6) == 4
-    eps = RootSearchConfig().eps_cut
-    first, retry = batches[0], batches[1]
-    assert first[0] == complex(0.0, eps) and first[-1] == evans_mod._X
-    # the retry walks a path moved down towards, never onto, the cut
-    # and out past X, with no sample in common with the first
-    rng = np.random.default_rng(evans_mod._SEED)
-    x = evans_mod._X * (1.0 + 1e-3 * (1.0 + rng.random()))
-    y = eps * (1.0 - 0.5 * rng.random())
-    assert retry[0] == complex(0.0, y) and retry[-1] == x
-    assert eps / 2 < y < eps and not set(first) & set(retry)
-    # a hit on every walk raises after _RETRIES retries
-    batches.clear()
-    hits[0] = math.inf
-    with pytest.raises(ContourThroughRootError, match=r"after 6 jittered retries"):
+    with pytest.raises(ContourThroughRootError) as exc:
         count_roots(0.4, 0.6)
-    assert len(batches) == evans_mod._RETRIES + 1
+    assert len(batches) == 1
+    hit = batches[0][5]
+    assert str(exc.value) == (f"(theta=0.4, d=0.6, mu={0.6 * 0.6}) with eps_cut=0.001: "
+                              f"walk sample c = {hit} lies on a zero: |E| = 0.0e+00 < 1e-13")
 
 
 def test_find_roots_evaluation_count(monkeypatch):
@@ -293,7 +282,8 @@ def test_unresolved_walk_raises(monkeypatch):
     # or more, whose rounded sum need not be the count
     monkeypatch.setattr(evans_mod, "_MAX_PTS", 1)
     with pytest.raises(ConvergenceError,
-                       match=r"^walk 0\.001j -> \(1\.1\+0\.001j\) -> 1\.1 unresolved at 71 "
+                       match=r"^\(theta=0\.1, d=0\.6, mu=0\.36\) with eps_cut=0\.001: "
+                             r"walk 0\.001j -> \(1\.1\+0\.001j\) -> 1\.1 unresolved at 71 "
                              r"samples: 1 argument increments still reach pi/2$"):
         count_roots(0.1, 0.6)
 
@@ -357,7 +347,7 @@ def test_both_searches_raise_one_message_where_the_count_misses_a_pair(monkeypat
     assert re.match(r"2 eigenvalues counted at \(theta=0\.1329, d=0\.4975, mu=0\.2475\d*\) "
                     r"with eps_cut=0\.001, but region II predicts 4$", messages[0])
     # a spectrum names the class in front of the same message
-    monkeypatch.setattr(evans_mod, "_walk", lambda *args: (0, None))
+    monkeypatch.setattr(evans_mod, "_quarter_walk", lambda *args: (0, None))
     with pytest.raises(OracleMismatchError, match=r"^class k=1: 0 eigenvalues .* mu=.*eps_cut="):
         spectrum_report(Wavevector(1, 2), count_only=True)
 
@@ -445,7 +435,7 @@ def test_find_roots_pairs_with_the_operator_on_hard_classes(p, k, M):
     assert cross_validate(Wavevector(*p), k, M=M, pair_tol=1e-6)["count"] == 4
 
 
-def test_root_and_its_mirror_inside_the_axis_pad():
+def test_quadruplet_next_to_the_imaginary_axis():
     # a quadruplet within 0.0342 of the imaginary axis, off it
     p = Wavevector(4, 5)
     cp = class_point(p, companion_basis(p), 34)
@@ -490,7 +480,7 @@ def test_find_roots_close_pairs_next_to_the_origin(theta, d):
     assert all(min(abs(c - w) for w in want) < 1e-9 for c, _ in rs.roots)
 
 
-def test_search_box_must_be_well_formed():
+def test_eps_cut_must_lie_in_the_open_unit_interval():
     # eps_cut <= 0 reaches the cut, and no root lies above Im c = 1
     # (Howard's bound), so eps_cut >= 1 could only count 0
     for bad in (5.0, 2.0, 1.0, -0.01, 0.0, math.nan):
@@ -643,8 +633,9 @@ def test_window_samples_the_bottom_edge_around_the_predicted_root():
 
 def _count_walk(theta, d):
     """The count's final walk (points, values) at the default settings."""
-    return evans_mod._walk(lambda cs: evans_mod._evans_batch(cs, theta, d), evans_mod._X,
-                           RootSearchConfig().eps_cut, evans_mod._cut_end_root(theta, d))
+    return evans_mod._quarter_walk(lambda cs: evans_mod._evans_batch(cs, theta, d),
+                                   evans_mod._X, RootSearchConfig().eps_cut,
+                                   evans_mod._cut_end_root(theta, d))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eulerhill import (
@@ -22,8 +23,9 @@ from eulerhill.lattice import _circle_memberships
 
 
 def coprime_pairs(limit_sq):
-    for p1 in range(-10, 11):
-        for p2 in range(-10, 11):
+    r = math.isqrt(limit_sq)
+    for p1 in range(-r, r + 1):
+        for p2 in range(-r, r + 1):
             if (p1, p2) == (0, 0):
                 continue
             if p1 * p1 + p2 * p2 > limit_sq:
@@ -144,6 +146,24 @@ def test_class_line_count_examples():
     p = Wavevector(1, 2)
     q = companion_basis(p)
     assert class_line_count(p, q, 1) == 2
+
+
+def test_class_line_count_closed_form_matches_enumeration():
+    # every point k*q + m*p of the disk has |m| <= P + 1, so enumerating
+    # that range counts them all; k runs past +-P, where the count is 0
+    n = 0
+    for p in coprime_pairs(200):
+        q = companion_basis(p)
+        P = p.p_sq
+        ks = np.array([k for k in range(-P - 2, P + 3) if k != 0])
+        m = np.arange(-P - 1, P + 2)
+        a1 = ks[:, None] * q.q1 + m * p.p1
+        a2 = ks[:, None] * q.q2 + m * p.p2
+        norm = a1 * a1 + a2 * a2
+        want = ((0 < norm) & (norm < P)).sum(axis=1)
+        assert [class_line_count(p, q, int(k)) for k in ks] == want.tolist(), p
+        n += ks.size
+    assert n == 81336
 
 
 def test_region_count_equivalence():
