@@ -7,7 +7,7 @@ oracles (direct monodromy integration and a truncated Fourier-space
 class operator) cross-check every spectral result.
 """
 
-from .conformal import Side, SpectralParam, cut_distance, s_at_origin, s_of_c
+from .conformal import SpectralParam, cut_distance, s_at_origin, s_of_c
 from .errors import (
     BranchCutError,
     ClassRangeError,
@@ -37,7 +37,7 @@ from .hill import (
     discriminant_slope_at_zero,
     hill_determinant,
 )
-from .jacobi import JacobiTruncation, cross_validate, jacobi_matrix, jacobi_spectrum
+from .jacobi import cross_validate, jacobi_matrix, jacobi_spectrum
 from .lattice import (
     ROOT_COUNT_BY_REGION,
     ClassPoint,
@@ -46,7 +46,6 @@ from .lattice import (
     Wavevector,
     class_line_count,
     class_point,
-    classify,
     classify_rational,
     companion_basis,
     lattice_points_in_disk,
@@ -69,14 +68,12 @@ __all__ = [
     "EigenError",
     "EulerHillError",
     "EvansRootSet",
-    "JacobiTruncation",
     "MonodromyResult",
     "OracleMismatchError",
     "PoleProximityError",
     "ROOT_COUNT_BY_REGION",
     "RegionTag",
     "RootSearchConfig",
-    "Side",
     "SingularPotentialError",
     "SpectralParam",
     "SpectrumReport",
@@ -84,7 +81,6 @@ __all__ = [
     "Wavevector",
     "class_line_count",
     "class_point",
-    "classify",
     "classify_rational",
     "companion_basis",
     "count_roots",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Side, s_at_origin, s_of_c
+from .conformal import s_at_origin, s_of_c
 from .euler import spectrum_report
 from .evans import DEFAULT_SEARCH, RootSearchConfig, _evans_batch, _quarter_walk, evans
 from .hill import discriminant, discriminant_slope_at_zero
@@ -47,7 +47,7 @@ def _check(name: str, **inputs):
 
 @_check("closed form at c=0", quick=dict(n=50), full=dict(n=200))
 def closed_form_origin(search, n):
-    sp = s_at_origin(Side.UPPER)
+    sp = s_at_origin()
     worst = 0.0
     for d in np.linspace(0.0, 1.0, n):
         ref = 2.0 * math.cos(2.0 * math.pi * math.sqrt(1.0 - d * d))

@@ -80,8 +80,11 @@ def parse_pair(text: str) -> Wavevector:
 def _write(args, lines):
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a usage error, though found after the computation
+            raise ValueError(f"cannot write out file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

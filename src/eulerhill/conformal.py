@@ -1,4 +1,4 @@
-"""Joukowski change of spectral variable c -> s and its limits at c = 0.
+"""Joukowski change of spectral variable c -> s and its limit at c = 0.
 
 The temporal parameter c and the disk variable s are linked by
 2c = s + 1/s; of the two roots we always keep the one inside the unit
@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import BranchCutError, SingularPotentialError
 
 #: |Im c| below this is treated as exactly real for cut detection.
 CUT_IMAG_TOL = 1e-14
-
-
-class Side(Enum):
-    UPPER = "upper"
-    LOWER = "lower"
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,7 @@ def s_of_c(c: complex) -> SpectralParam:
         if abs(c.real) < 1.0:
             raise BranchCutError(
                 f"c = {c} lies on the branch cut (-1, 1); "
-                "use s_at_origin for the c = 0 limits"
+                "use s_at_origin for the c = 0 limit"
             )
     r = cmath.sqrt(c * c - 1.0)
     big = c + r if abs(c + r) >= abs(c - r) else c - r
@@ -64,18 +58,12 @@ def s_of_c(c: complex) -> SpectralParam:
     return SpectralParam(c=c, s=s, kappa=kappa)
 
 
-def s_at_origin(side: Side) -> SpectralParam:
-    """Limit of s(c) as c -> 0 from the requested side of the cut.
+def s_at_origin() -> SpectralParam:
+    """Limit of s(c) as c -> 0 from above the cut: s = -i.
 
-    Approaching from above (Side.UPPER) gives s = -i, from below s = +i;
-    in both limits kappa = 0 exactly so the potential's Fourier series
-    collapses to the constant 1.
+    The limit from below is s = +i; in both kappa = 0 exactly, so the
+    potential's Fourier series collapses to the constant 1 and the
+    discriminant, the Hill determinant and the Evans function take the
+    same value from either side.
     """
-    if side == Side.UPPER:
-        s = -1j
-    elif side == Side.LOWER:
-        s = 1j
-    else:
-        raise BranchCutError("c = 0 requires an explicit side (UPPER or LOWER)")
-    return SpectralParam(c=0.0 + 0.0j, s=s, kappa=0.0 + 0.0j)
-
+    return SpectralParam(c=0.0 + 0.0j, s=-1j, kappa=0.0 + 0.0j)

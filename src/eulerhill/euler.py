@@ -165,5 +165,5 @@ def report_to_dict(report: SpectrumReport) -> dict:
     }
 
 
-def report_to_json(report: SpectrumReport, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent)
+def report_to_json(report: SpectrumReport) -> str:
+    return json.dumps(report_to_dict(report), indent=2)

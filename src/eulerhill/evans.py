@@ -58,13 +58,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conformal import CUT_IMAG_TOL, Side, s_at_origin, s_of_c
-from .errors import (
-    BranchCutError,
-    ContourThroughRootError,
-    ConvergenceError,
-    OracleMismatchError,
-)
+from .conformal import CUT_IMAG_TOL, s_at_origin, s_of_c
+from .errors import ContourThroughRootError, ConvergenceError, OracleMismatchError
 from .hill import DiscriminantConfig, discriminant, discriminant_batch, discriminant_slope_at_zero
 from .lattice import ROOT_COUNT_BY_REGION, RegionTag, classify_rational
 
@@ -146,16 +141,14 @@ def _two_cos(theta: float) -> float:
     return 2.0 * math.cos(TWO_PI * math.remainder(theta, 1.0))
 
 
-def evans(c, theta: float, d: float, cfg: DiscriminantConfig | None = None,
-          side: Side | None = None) -> complex:
-    """Evans function of the class with parameters (theta, d)."""
+def evans(c, theta: float, d: float, cfg: DiscriminantConfig | None = None) -> complex:
+    """Evans function of the class with parameters (theta, d).
+
+    At c = 0 it is the value at s_at_origin, which is the same from
+    either side of the cut; elsewhere on the cut s_of_c raises.
+    """
     c = complex(c)
-    if c == 0:
-        if side is None:
-            raise BranchCutError("c = 0 needs an explicit branch side")
-        sp = s_at_origin(side)
-    else:
-        sp = s_of_c(c)
+    sp = s_at_origin() if c == 0 else s_of_c(c)
     return _two_cos(theta) - discriminant(sp, d * d, cfg)
 
 
@@ -290,6 +283,11 @@ def _check_class(theta: float, d: float) -> None:
         raise ValueError(f"d must be finite and nonnegative, got {d}")
 
 
+def _where(theta, d, cfg) -> str:
+    """The class, mu and eps_cut, as every search error names them."""
+    return f"(theta={theta}, d={d}, mu={d * d}) with eps_cut={cfg.eps_cut}"
+
+
 def _cut_end_root(theta: float, d: float) -> complex | None:
     """The first-quadrant root next to c = 1 of the small-mu model of E.
 
@@ -338,8 +336,7 @@ def _count_class(theta, d, cfg, region):
     try:
         total, walk = _quarter_walk(fs, _X, cfg.eps_cut, root)
     except (ContourThroughRootError, ConvergenceError) as exc:
-        raise type(exc)(f"(theta={theta}, d={d}, mu={d * d}) with eps_cut={cfg.eps_cut}: "
-                        f"{exc}") from exc
+        raise type(exc)(f"{_where(theta, d, cfg)}: {exc}") from exc
     if region is not None and total != ROOT_COUNT_BY_REGION[region]:
         want = ROOT_COUNT_BY_REGION[region]
         under = ""
@@ -347,8 +344,8 @@ def _count_class(theta, d, cfg, region):
                 and root.imag < cfg.eps_cut):
             under = f"; the small-mu model puts a root at {root:.8f}, under eps_cut"
         raise OracleMismatchError(
-            f"{total} eigenvalues counted at (theta={theta}, d={d}, mu={d * d}) with "
-            f"eps_cut={cfg.eps_cut}, but region {region.value} predicts {want}{under}"
+            f"{total} eigenvalues counted at {_where(theta, d, cfg)}, "
+            f"but region {region.value} predicts {want}{under}"
         )
     return total, walk, fs
 
@@ -432,8 +429,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
         if res > _ROOT_TOL:
             raise ConvergenceError(
                 f"Newton stalled at a residual of {res:.2e} near {z:.4f} from the moment "
-                f"seed {seed:.4f} at (theta={theta}, d={d}, mu={d * d}) with "
-                f"eps_cut={cfg.eps_cut}"
+                f"seed {seed:.4f} at {_where(theta, d, cfg)}"
             )
         z = complex(abs(z.real) if abs(z.real) > _SNAP_TOL else 0.0, abs(z.imag))
         if all(abs(z - u) > _SNAP_TOL for u in found):
@@ -441,9 +437,8 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
 
     if _tally(found) != total:
         raise ConvergenceError(
-            f"Newton from the moment seeds {seeds} at (theta={theta}, d={d}, mu={d * d}) "
-            f"reached {found}, which account for {_tally(found)} eigenvalues, not the "
-            f"{total} counted with eps_cut={cfg.eps_cut}"
+            f"Newton from the moment seeds {seeds} at {_where(theta, d, cfg)} reached "
+            f"{found}, which account for {_tally(found)} eigenvalues, not the {total} counted"
         )
 
     closure: dict = {}

@@ -24,27 +24,21 @@ with real part exactly 0 and never passes the |Re lambda| > tol cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ClassRangeError, ConvergenceError, EigenError, OracleMismatchError
+from .errors import ClassRangeError, EigenError, OracleMismatchError
 from .evans import RootSearchConfig, find_roots
 from .lattice import CompanionBasis, Wavevector, class_point, companion_basis, representative
 
-__all__ = ["JacobiTruncation", "jacobi_matrix", "jacobi_spectrum", "cross_validate"]
+__all__ = ["jacobi_matrix", "jacobi_spectrum", "cross_validate"]
 
-#: largest half-width cross_validate tries when it picks M itself
-MAX_HALF_WIDTH = 1024
-
-
-@dataclass(frozen=True)
-class JacobiTruncation:
-    p: Wavevector
-    k: int
-    a0: tuple
-    half_width: int
-    matrix: np.ndarray  # real, side 2*half_width + 1
+# jacobi_spectrum keeps the eigenvalues with |Re| above _TOL and needs
+# every lifted eigenpair to meet ||L v - lam v|| <= _RESIDUAL_TOL ||v||;
+# cross_validate pairs each operator eigenvalue with an Evans one
+# within _PAIR_TOL
+_TOL = 1e-6
+_RESIDUAL_TOL = 1e-8
+_PAIR_TOL = 1e-4
 
 
 def _check_range(p: Wavevector, k: int):
@@ -53,8 +47,9 @@ def _check_range(p: Wavevector, k: int):
 
 
 def jacobi_matrix(p: Wavevector, k: int, M: int | None = None,
-                  q: CompanionBasis | None = None) -> JacobiTruncation:
-    """Truncated class recursion on modes a0 + j*p, |j| <= M."""
+                  q: CompanionBasis | None = None) -> np.ndarray:
+    """Truncated class recursion on modes a0 + j*p, |j| <= M (by default
+    4 p^2), with a0 the class representative: real, of side 2M + 1."""
     _check_range(p, k)
     q = q or companion_basis(p)
     M = M if M is not None else 4 * p.p_sq
@@ -71,20 +66,19 @@ def jacobi_matrix(p: Wavevector, k: int, M: int | None = None,
     i = np.arange(2 * M)
     L[i, i + 1] = R[:-1]
     L[i + 1, i] = -R[1:]
-    return JacobiTruncation(p=p, k=k, a0=a0, half_width=M, matrix=L)
+    return L
 
 
 def jacobi_spectrum(p: Wavevector, k: int, M: int | None = None,
-                    tol: float = 1e-6, residual_tol: float = 1e-8,
                     q: CompanionBasis | None = None) -> np.ndarray:
-    """Temporal eigenvalues of the truncated class operator, |Re| > tol.
+    """Temporal eigenvalues of the truncated class operator, |Re| > _TOL.
 
     Solved on the even/odd half C B (module docstring); each lifted
     eigenpair must satisfy the residual contract
-    ||L v - lam v|| <= residual_tol ||v|| for the full matrix L.  The
+    ||L v - lam v|| <= _RESIDUAL_TOL ||v|| for the full matrix L.  The
     returned values carry the k p^2 / 2 advection scale.
     """
-    L = jacobi_matrix(p, k, M, q=q).matrix
+    L = jacobi_matrix(p, k, M, q=q)
     B, C = L[0::2, 1::2], L[1::2, 0::2]
     CB = C @ B
     n = CB.shape[0]
@@ -92,7 +86,7 @@ def jacobi_spectrum(p: Wavevector, k: int, M: int | None = None,
     try:
         nus = np.linalg.eigvals(CB).astype(complex)
         roots = np.sqrt(nus)
-        keep = np.abs(roots.real) * scale > tol
+        keep = np.abs(roots.real) * scale > _TOL
         # one inverse-iteration solve per kept nu, started from a ramp:
         # the rows of L sum to zero away from the ends, so ones is nearly
         # orthogonal to every left eigenvector and would be a poor start
@@ -107,7 +101,7 @@ def jacobi_spectrum(p: Wavevector, k: int, M: int | None = None,
     v[0::2] = B @ u / vals
     v[1::2] = u
     res = np.linalg.norm(L @ v - vals * v, axis=0) / np.linalg.norm(v, axis=0)
-    if np.any(res > residual_tol):
+    if np.any(res > _RESIDUAL_TOL):
         raise EigenError(f"eigenpair residual {res.max():.2e} breaks the contract")
     lams = scale * vals
     return lams[np.lexsort((lams.imag, lams.real))]
@@ -124,41 +118,18 @@ def _nearest_distances(a, b) -> list:
     return dists
 
 
-def _settled_spectrum(p: Wavevector, k: int, q: CompanionBasis, tol: float) -> np.ndarray:
-    """jacobi_spectrum at the first M = 4 p^2 * 2^n whose kept spectrum has
-    the count of the one at M / 2 and lies within tol of it."""
-    M = 4 * p.p_sq
-    prev = jacobi_spectrum(p, k, M, q=q)
-    while 2 * M <= MAX_HALF_WIDTH:
-        M *= 2
-        lams = jacobi_spectrum(p, k, M, q=q)
-        if len(lams) == len(prev) and max(_nearest_distances(lams, prev), default=0.0) <= tol:
-            return lams
-        prev = lams
-    raise ConvergenceError(
-        f"class k={k} of p=({p.p1},{p.p2}): Jacobi spectrum not settled "
-        f"by half-width M={M}"
-    )
-
-
-def cross_validate(p: Wavevector, k: int, M: int | None = None,
-                   cfg: RootSearchConfig | None = None,
-                   pair_tol: float = 1e-4) -> dict:
-    """Match truncated-operator eigenvalues against Evans roots.
+def cross_validate(p: Wavevector, k: int, M: int,
+                   cfg: RootSearchConfig | None = None) -> dict:
+    """Match truncated-operator eigenvalues at half-width M against Evans roots.
 
     Each Evans root c of the class (theta(k), d(k)) corresponds to the
-    temporal eigenvalue lambda = -i*k*c.  Without M, the half-width
-    doubles from 4 p^2 until two successive spectra agree within
-    pair_tol / 10 (ConvergenceError past MAX_HALF_WIDTH).  Raises
-    OracleMismatchError when counts differ or some eigenvalue has no
-    partner within pair_tol.
+    temporal eigenvalue lambda = -i*k*c.  Raises OracleMismatchError
+    when counts differ or some eigenvalue has no partner within
+    _PAIR_TOL.
     """
     q = companion_basis(p)
     cp = class_point(p, q, k)
-    if M is None:
-        lams_j = list(_settled_spectrum(p, k, q, pair_tol / 10))
-    else:
-        lams_j = list(jacobi_spectrum(p, k, M, q=q))
+    lams_j = list(jacobi_spectrum(p, k, M, q=q))
     rs = find_roots(cp.theta, cp.d, cfg, expected_region=cp.region)
     lams_e = []
     for c, m in rs.roots:
@@ -170,9 +141,9 @@ def cross_validate(p: Wavevector, k: int, M: int | None = None,
         )
     dists = _nearest_distances(lams_j, lams_e)
     for lj, dist in zip(lams_j, dists):
-        if dist > pair_tol:
+        if dist > _PAIR_TOL:
             raise OracleMismatchError(
-                f"eigenvalue {lj} unmatched within {pair_tol} (nearest {dist})"
+                f"eigenvalue {lj} unmatched within {_PAIR_TOL} (nearest {dist})"
             )
     return {
         "p": (p.p1, p.p2),

@@ -89,14 +89,6 @@ class ClassPoint:
     def d(self) -> float:
         return self.k / self.p_sq
 
-    @property
-    def theta_exact(self) -> Fraction:
-        return Fraction(self.theta_num, self.p_sq)
-
-    @property
-    def d_exact(self) -> Fraction:
-        return Fraction(self.k, self.p_sq)
-
 
 def _egcd(a: int, b: int):
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
@@ -140,35 +132,24 @@ def companion_basis(p: Wavevector) -> CompanionBasis:
     return CompanionBasis(q1=q1, q2=q2, dot_pq=dot)
 
 
-def _circle_memberships(theta_num: int, k: int, p_sq: int):
-    """Exact membership of (theta_num/p_sq, k/p_sq) in the three unit circles.
+def _region(num: int, k: int, den: int) -> RegionTag:
+    """Region of the point (num/den, k/den), by exact integer comparisons.
 
     Circle l has equation (theta + l)^2 + d^2 = 1, i.e. in cleared form
-    (theta_num + l*p_sq)^2 + k^2 = p_sq^2.  Returns (inside, on) lists of l.
+    (num + l*den)^2 + k^2 = den^2; the tag follows from how many of the
+    circles l = -1, 0, 1 hold the point inside and how many pass through it.
     """
-    inside, on = [], []
-    rhs = p_sq * p_sq
+    n_in = n_on = 0
+    rhs = den * den
     for l in (-1, 0, 1):
-        lhs = (theta_num + l * p_sq) ** 2 + k * k
-        if lhs < rhs:
-            inside.append(l)
-        elif lhs == rhs:
-            on.append(l)
-    return inside, on
-
-
-def _tag_from_memberships(n_in: int, n_on: int, d_is_zero: bool) -> RegionTag:
-    if d_is_zero or n_on >= 2:
+        lhs = (num + l * den) ** 2 + k * k
+        n_in += lhs < rhs
+        n_on += lhs == rhs
+    if k == 0 or n_on >= 2:
         return RegionTag.CORNER
     if n_on == 1:
         return RegionTag.BOUNDARY_I_II if n_in == 1 else RegionTag.BOUNDARY_0_I
     return (RegionTag.REGION_0, RegionTag.REGION_I, RegionTag.REGION_II)[n_in]
-
-
-def classify(cp: ClassPoint) -> RegionTag:
-    """Region of the class point, decided by exact integer comparisons."""
-    inside, on = _circle_memberships(cp.theta_num, cp.k, cp.p_sq)
-    return _tag_from_memberships(len(inside), len(on), cp.k == 0)
 
 
 def classify_rational(theta: Fraction, d: Fraction) -> RegionTag:
@@ -184,8 +165,7 @@ def classify_rational(theta: Fraction, d: Fraction) -> RegionTag:
     den = theta.denominator * d.denominator // gcd(theta.denominator, d.denominator)
     tn = int(theta * den)
     dn = int(d * den)
-    inside, on = _circle_memberships(tn, dn, den)
-    return _tag_from_memberships(len(inside), len(on), dn == 0)
+    return _region(tn, dn, den)
 
 
 def class_point(p: Wavevector, q: CompanionBasis, k: int) -> ClassPoint:
@@ -197,9 +177,7 @@ def class_point(p: Wavevector, q: CompanionBasis, k: int) -> ClassPoint:
     if 2 * t > P:
         t -= P
     l = (t - k * q.dot_pq) // P
-    inside, on = _circle_memberships(t, k, P)
-    return ClassPoint(k=k, theta_num=t, p_sq=P, l=l,
-                      region=_tag_from_memberships(len(inside), len(on), False))
+    return ClassPoint(k=k, theta_num=t, p_sq=P, l=l, region=_region(t, k, P))
 
 
 def representative(p: Wavevector, q: CompanionBasis, cp: ClassPoint):

@@ -41,6 +41,9 @@ _TAU = TWO_PI * 1e-3 * 0.6180339887498949
 
 #: integrate_monodromy's default tolerance on successive traces
 DEFAULT_TOL = 1e-9
+# the step counts of the ladder's first rung and of its last
+_START_STEPS = 64
+_MAX_STEPS = 2**21
 # steps per block of the step-matrix product: bounds its temporaries to a
 # few arrays of this length, whatever the step count
 _BLOCK = 1024
@@ -106,13 +109,12 @@ def integrate_monodromy(
     mu: complex,
     tol: float = DEFAULT_TOL,
     min_cut_distance: float = 1e-3,
-    start_steps: int = 64,
-    max_steps: int = 2**21,
 ) -> MonodromyResult:
     """Monodromy matrix of g'' + Q g = mu g over one period.
 
-    Step count doubles until successive traces differ by less than tol;
-    est_error is the last difference.
+    Step count doubles from _START_STEPS until successive traces differ
+    by less than tol, or ConvergenceError past _MAX_STEPS; est_error is
+    the last difference.
     """
     c = complex(c)
     if tol <= 0:
@@ -123,8 +125,8 @@ def integrate_monodromy(
             "lower min_cut_distance explicitly to integrate anyway"
         )
     prev = None
-    n = start_steps
-    while n <= max_steps:
+    n = _START_STEPS
+    while n <= _MAX_STEPS:
         m11, m12, m21, m22 = _integrate(c, mu, n)
         tr = m11 + m22
         if prev is not None:
@@ -139,6 +141,6 @@ def integrate_monodromy(
         prev = tr
         n *= 2
     raise ConvergenceError(
-        f"monodromy trace did not converge to {tol} within {max_steps} steps"
+        f"monodromy trace did not converge to {tol} within {_MAX_STEPS} steps"
     )
 

@@ -16,7 +16,6 @@ from eulerhill import (
     DiscriminantConfig,
     ROOT_COUNT_BY_REGION,
     RegionTag,
-    Side,
     Wavevector,
     classify_rational,
     count_roots,
@@ -95,7 +94,7 @@ def test_criterion_04_three_by_three_truncation():
     # endpoint roots of the last factor: (d, kappa) = (1, 0) and (0, -1/sqrt3)
     f = lambda d2, kap: 3.0 * kap**2 - d2 * kap - 1.0 + d2
     endpoints = (
-        abs(f(1.0, s_at_origin(Side.UPPER).kappa)) < 1e-14
+        abs(f(1.0, s_at_origin().kappa)) < 1e-14
         and abs(f(0.0, s_of_c(1j / math.sqrt(2.0)).kappa)) < 1e-12
     )
     crit.finish(worst <= 1e-12 and endpoints,

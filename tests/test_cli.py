@@ -270,6 +270,23 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith("mu,re_delta,im_delta")
 
 
+@pytest.mark.parametrize("target, reason", [
+    (Path("missing") / "x.csv", "No such file or directory"),
+    (Path("."), "Is a directory"),
+], ids=["missing-dir", "a-directory"])
+def test_unwritable_output_file_is_a_usage_error(target, reason, tmp_path, capsys):
+    out = tmp_path / target
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["--out", str(out), "circles", "--denominator", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write out file: ")
+    assert reason in captured.err and str(out) in captured.err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
 def test_defaults_file_via_env(tmp_path, capsys, monkeypatch):
     defaults = tmp_path / "defaults.json"
     defaults.write_text(json.dumps({"fmt": "json", "out": None}))  # null: unset

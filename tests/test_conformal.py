@@ -1,4 +1,4 @@
-"""Joukowski map, branch bookkeeping, and the potential's Fourier coefficients
+"""Joukowski map, its limit at c = 0, and the potential's Fourier coefficients
 as the Hill matrix holds them."""
 
 import cmath
@@ -9,7 +9,6 @@ import pytest
 
 from eulerhill import (
     BranchCutError,
-    Side,
     SingularPotentialError,
     cut_distance,
     s_at_origin,
@@ -50,14 +49,15 @@ def test_s_of_c_cut_errors():
 
 
 def test_s_at_origin():
-    up = s_at_origin(Side.UPPER)
-    lo = s_at_origin(Side.LOWER)
-    assert up.s == -1j and lo.s == 1j
-    assert up.kappa == 0 and lo.kappa == 0
-    assert up.g0 == 1.0 and lo.g0 == 1.0
-    # the limits are consistent with s_of_c just off the cut
-    assert abs(s_of_c(1e-6j).s - up.s) < 2e-6
-    assert abs(s_of_c(-1e-6j).s - lo.s) < 2e-6
+    sp = s_at_origin()
+    assert sp.s == -1j
+    assert sp.kappa == 0
+    assert sp.g0 == 1.0
+    # the limit from above, as s_of_c just off the cut gives it; from
+    # below s tends to +i, with kappa -> 0 all the same
+    assert abs(s_of_c(1e-6j).s - sp.s) < 2e-6
+    assert abs(s_of_c(-1e-6j).s - 1j) < 2e-6
+    assert abs(s_of_c(-1e-6j).kappa) < 2e-6
 
 
 def test_branch_symmetries():

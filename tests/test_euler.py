@@ -1,6 +1,8 @@
 """Product Evans function and the spectrum report."""
 
+import cmath
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from eulerhill import (
     RegionTag,
     Wavevector,
     class_line_count,
+    class_point,
     companion_basis,
     cross_validate,
     find_roots,
@@ -40,6 +43,23 @@ def test_full_evans_single_factor_roots():
     for c, _ in rs.roots:
         lam = -1j * c
         assert abs(full_evans(p, lam)) < 1e-6
+
+
+def test_full_evans_at_the_origin_is_the_closed_form():
+    # at lambda = 0 each factor is E(0; theta, d) = 2 cos 2 pi theta - 2 cos 2 pi sqrt(1 - d^2)
+    p = Wavevector(1, 1)
+    q = companion_basis(p)
+    want = 1.0
+    for k in range(1, p.p_sq):
+        cp = class_point(p, q, k)
+        want *= (2.0 * math.cos(2.0 * math.pi * cp.theta)
+                 - 2.0 * cmath.cos(2.0 * math.pi * cmath.sqrt(1.0 - cp.d**2))) ** 2
+    got = full_evans(p, 0)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(got - 11.10) < 0.005
+    # a class on a circle puts an eigenvalue at the origin
+    for pp in ((1, 2), (4, 5)):
+        assert abs(full_evans(Wavevector(*pp), 0)) < 1e-40
 
 
 def test_full_evans_cut_error_identifies_class():

@@ -21,7 +21,6 @@ from eulerhill import (
     OracleMismatchError,
     RegionTag,
     RootSearchConfig,
-    Side,
     Wavevector,
     class_point,
     classify_rational,
@@ -48,14 +47,8 @@ def closed_form_origin(theta, d):
 
 def test_value_at_origin_matches_closed_form():
     for theta, d in ((0.1, 0.6), (0.37, 0.21), (0.5, 0.9)):
-        for side in (Side.UPPER, Side.LOWER):
-            val = evans(0.0, theta, d, N16, side=side)
-            assert abs(val - closed_form_origin(theta, d)) < 1e-12
-
-
-def test_origin_requires_side():
-    with pytest.raises(BranchCutError):
-        evans(0.0, 0.1, 0.6)
+        val = evans(0.0, theta, d, N16)
+        assert abs(val - closed_form_origin(theta, d)) < 1e-12
 
 
 def test_cut_raises():
@@ -162,12 +155,12 @@ def test_count_matches_exact_region_for_rational_points():
         assert n == ROOT_COUNT_BY_REGION[tag]
 
 
-def _normal_derivative(d, side, h=1e-5):
+def _normal_derivative(d, h=1e-5):
     """Centred difference of E(0; theta, d) along the outward normal of the
     circle theta^2 + d^2 = 1 at (sqrt(1 - d^2), d)."""
     theta0 = math.sqrt(1.0 - d * d)
-    return (evans(0.0, theta0 * (1.0 + h), d * (1.0 + h), side=side)
-            - evans(0.0, theta0 * (1.0 - h), d * (1.0 - h), side=side)) / (2.0 * h)
+    return (evans(0.0, theta0 * (1.0 + h), d * (1.0 + h))
+            - evans(0.0, theta0 * (1.0 - h), d * (1.0 - h))) / (2.0 * h)
 
 
 def test_derivative_checks_magnitudes():
@@ -177,14 +170,13 @@ def test_derivative_checks_magnitudes():
     d, h = 0.5, 1e-5
     theta0 = math.sqrt(1.0 - d * d)
     R = 2.0 * math.pi * math.sin(2.0 * math.pi * theta0) / theta0
-    for side, sgn in ((Side.UPPER, 1.0), (Side.LOWER, -1.0)):
-        e0 = evans(0.0, theta0, d, side=side)
+    e0 = evans(0.0, theta0, d)
+    for sgn in (1.0, -1.0):
         fd_dc = (evans(sgn * 1j * h, theta0, d) - e0) / (sgn * 1j * h)
         assert abs(fd_dc - sgn * 1j * R) < 1e-4 * max(1.0, abs(R))
-        fd_dd = (evans(0.0, theta0, d + h, side=side)
-                 - evans(0.0, theta0, d - h, side=side)) / (2.0 * h)
-        assert abs(fd_dd + 2.0 * d * R) < 1e-4
-        assert abs(_normal_derivative(d, side) + 2.0 * R) < 1e-4
+    fd_dd = (evans(0.0, theta0, d + h) - evans(0.0, theta0, d - h)) / (2.0 * h)
+    assert abs(fd_dd + 2.0 * d * R) < 1e-4
+    assert abs(_normal_derivative(d) + 2.0 * R) < 1e-4
     # a pair of imaginary roots is born at inward distance t with speed 2,
     # which follows from the formulas above (E grows like 2Rt inward while
     # dE/dc = +-iR, so beta = 2t)
@@ -196,7 +188,7 @@ def test_derivative_checks_magnitudes():
 
 def test_normal_derivative_sign_flip():
     # -2R changes sign at d = sqrt(3)/2: positive below, negative above
-    below, above = (_normal_derivative(d, Side.UPPER).real for d in (0.6, 0.95))
+    below, above = (_normal_derivative(d).real for d in (0.6, 0.95))
     assert below > 0.0 > above
 
 
@@ -432,7 +424,8 @@ def test_find_roots_pairs_with_the_operator_on_hard_classes(p, k, M):
     # unit-winding cell split could isolate; k = 34: a root within 0.0342
     # of the imaginary axis and close to its mirror -conj(z); (7,8) k = 1, with
     # d = 0.00885 in region II, at M = 4 p^2: a root still nearer c = 1
-    assert cross_validate(Wavevector(*p), k, M=M, pair_tol=1e-6)["count"] == 4
+    rep = cross_validate(Wavevector(*p), k, M=M)
+    assert rep["count"] == 4 and rep["max_pairing_distance"] <= 1e-6
 
 
 def test_quadruplet_next_to_the_imaginary_axis():

@@ -12,7 +12,6 @@ from eulerhill import (
     BranchCutError,
     DiscriminantConfig,
     PoleProximityError,
-    Side,
     discriminant,
     discriminant_batch,
     discriminant_slope_at_zero,
@@ -27,7 +26,7 @@ N16 = DiscriminantConfig(half_width=16)
 
 
 def test_hill_matrix_diagonal_at_origin(hill_matrix):
-    sp = s_at_origin(Side.UPPER)
+    sp = s_at_origin()
     B = hill_matrix(sp, 0.3 + 0.1j, 16)
     off = B - np.diag(np.diag(B))
     assert np.max(np.abs(off)) == 0.0
@@ -83,7 +82,7 @@ def test_even_odd_split_is_exact(hill_matrix, c, N):
 
 
 def test_hill_determinant_is_one_at_origin():
-    sp = s_at_origin(Side.LOWER)
+    sp = s_at_origin()
     for lam in (0.3, 2.5 + 0.7j, -4.2):
         assert abs(hill_determinant(sp, lam, N16) - 1.0) < 1e-12
 
@@ -103,7 +102,7 @@ def test_hill_determinant_pole_guard():
 
 
 def test_discriminant_closed_form_at_origin():
-    sp = s_at_origin(Side.UPPER)
+    sp = s_at_origin()
     for d in np.linspace(0.0, 1.0, 41):
         ref = 2.0 * math.cos(2.0 * math.pi * math.sqrt(1.0 - d * d))
         assert abs(discriminant(sp, d * d, N16) - ref) < 1e-12

@@ -9,18 +9,21 @@ from eulerhill import (
     ClassRangeError,
     EigenError,
     Wavevector,
+    class_point,
     companion_basis,
     cross_validate,
     jacobi_matrix,
     jacobi_spectrum,
+    representative,
 )
 from eulerhill import checks
+import eulerhill.jacobi as jacobi_mod
 
 
 def _dense_spectrum(p, k, M, q, tol=1e-6, residual_tol=1e-8):
     """Reference: the kept eigenvalues of one dense eig of the full
     (2M+1)-square recursion matrix, under the same cut and contract."""
-    L = jacobi_matrix(p, k, M, q=q).matrix
+    L = jacobi_matrix(p, k, M, q=q)
     vals, vecs = np.linalg.eig(L)
     scale = 0.5 * k * p.p_sq
     keep = np.abs(vals.real) * scale > tol
@@ -33,11 +36,11 @@ def _dense_spectrum(p, k, M, q, tol=1e-6, residual_tol=1e-8):
 
 def test_matrix_structure_and_R_signs():
     p = Wavevector(1, 2)
-    trunc = jacobi_matrix(p, 1, M=30)
-    L = trunc.matrix
-    M = trunc.half_width
+    M = 30
+    L = jacobi_matrix(p, 1, M=M)
+    q = companion_basis(p)
     jj = np.arange(-M, M + 1)
-    a0 = trunc.a0
+    a0 = representative(p, q, class_point(p, q, 1))
     norms = (a0[0] + jj * p.p1) ** 2 + (a0[1] + jj * p.p2) ** 2
     R = 1.0 / p.p_sq - 1.0 / norms
     # superdiagonal +R(j), subdiagonal -R(j); all else zero
@@ -75,13 +78,14 @@ def test_half_size_spectrum_matches_dense_reference(pp, M):
             assert np.max(np.abs(np.sort_complex(got) - np.sort_complex(ref))) <= 1e-10, (pp, k)
 
 
-def test_residual_contract_checks_the_lifted_pairs():
+def test_residual_contract_checks_the_lifted_pairs(monkeypatch):
     """Each lifted eigenpair is checked against the full matrix: a zero
     residual budget fails, the default one passes."""
     p = Wavevector(1, 2)
-    with pytest.raises(EigenError):
-        jacobi_spectrum(p, 1, M=40, residual_tol=0.0)
     assert len(jacobi_spectrum(p, 1, M=40)) == 4
+    monkeypatch.setattr(jacobi_mod, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(EigenError):
+        jacobi_spectrum(p, 1, M=40)
 
 
 def test_range_errors():
@@ -139,11 +143,3 @@ def test_cross_validate_examples():
     rep = cross_validate(Wavevector(4, 5), 9, M=170)
     assert rep["count"] == 2
     assert rep["max_pairing_distance"] <= 1e-4
-
-
-def test_cross_validate_default_half_width_settles():
-    """Without M the near-axis class k=4 of p=(1,2), whose eigenvalue is
-    still 9e-3 off at M = 4 p^2 = 20, pairs with its Evans root."""
-    rep = cross_validate(Wavevector(1, 2), 4)
-    assert rep["count"] == 2
-    assert rep["max_pairing_distance"] <= 1e-5

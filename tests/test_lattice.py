@@ -13,13 +13,12 @@ from eulerhill import (
     Wavevector,
     class_line_count,
     class_point,
-    classify,
     classify_rational,
     companion_basis,
     lattice_points_in_disk,
     representative,
 )
-from eulerhill.lattice import _circle_memberships
+from eulerhill.lattice import _region
 
 
 def coprime_pairs(limit_sq):
@@ -71,13 +70,13 @@ def test_class_point_examples():
     q = companion_basis(p)
     cp = class_point(p, q, 9)
     assert (cp.theta_num, cp.p_sq) == (-1, 41)
-    assert cp.d_exact == Fraction(9, 41)
+    assert Fraction(cp.k, cp.p_sq) == Fraction(9, 41)
     cp = class_point(p, q, 1)
     assert (cp.theta_num, cp.p_sq) == (9, 41)
     p = Wavevector(1, 2)
     q = companion_basis(p)
     cp = class_point(p, q, 3)
-    assert cp.theta_exact == Fraction(-1, 5)
+    assert Fraction(cp.theta_num, cp.p_sq) == Fraction(-1, 5)
     assert cp.l == 1
 
 
@@ -91,12 +90,12 @@ def test_class_point_k_zero():
 def test_classify_examples():
     p = Wavevector(4, 5)
     q = companion_basis(p)
-    assert classify(class_point(p, q, 9)) is RegionTag.BOUNDARY_I_II
-    assert classify(class_point(p, q, 40)) is RegionTag.BOUNDARY_0_I
-    assert classify(class_point(p, q, 39)) is RegionTag.REGION_0
+    assert class_point(p, q, 9).region is RegionTag.BOUNDARY_I_II
+    assert class_point(p, q, 40).region is RegionTag.BOUNDARY_0_I
+    assert class_point(p, q, 39).region is RegionTag.REGION_0
     p = Wavevector(1, 2)
     q = companion_basis(p)
-    assert classify(class_point(p, q, 1)) is RegionTag.REGION_II
+    assert class_point(p, q, 1).region is RegionTag.REGION_II
 
 
 def test_classify_rational():
@@ -191,14 +190,13 @@ def test_global_count_doubling():
 
 
 def test_translation_invariance_of_memberships():
-    # shifting theta by -1 shifts each circle index up by one where the
-    # test windows {-1,0,1} overlap
+    # shifting theta by whole periods shifts each circle index by as many;
+    # reduced exactly into (-1/2, 1/2], the point is in the region that
+    # the circles l = -1, 0, 1 give the unshifted one
     for (tn, k, P) in ((-1, 9, 41), (3, 7, 25), (2, 1, 5)):
-        ins, on = _circle_memberships(tn, k, P)
-        ins2, on2 = _circle_memberships(tn - P, k, P)
-        for l in (-1, 0):
-            assert (l in ins) == (l + 1 in ins2)
-            assert (l in on) == (l + 1 in on2)
+        for shift in (-1, 1, 7):
+            assert classify_rational(Fraction(tn + shift * P, P), Fraction(k, P)) is _region(
+                tn, k, P)
 
 
 def test_representative_lies_on_class_line():

@@ -13,6 +13,7 @@ from eulerhill import (
     integrate_monodromy,
     s_of_c,
 )
+import eulerhill.monodromy as monodromy_mod
 from eulerhill.monodromy import _BLOCK, _TAU, TWO_PI, _integrate
 
 N16 = DiscriminantConfig(half_width=16)
@@ -59,10 +60,11 @@ def _residual(c, mu, theta, **kwargs):
     return integrate_monodromy(c, mu, **kwargs).trace - 2.0 * math.cos(2.0 * math.pi * theta)
 
 
-def test_residual_circle_limit():
+def test_residual_circle_limit(monkeypatch):
     theta = 0.3
     mu = 1.0 - theta * theta
-    r = _residual(1e-8j, mu, theta, tol=1e-7, min_cut_distance=0.0, start_steps=256)
+    monkeypatch.setattr(monodromy_mod, "_START_STEPS", 256)
+    r = _residual(1e-8j, mu, theta, tol=1e-7, min_cut_distance=0.0)
     assert abs(r) <= 1e-5
 
 
@@ -74,11 +76,12 @@ def test_residual_nonzero_for_positive_mu():
     assert abs(_residual(2.0, 1.0, 0.25, tol=1e-9)) > 1.0
 
 
-def test_cut_guard_and_budget():
+def test_cut_guard_and_budget(monkeypatch):
     with pytest.raises(SingularPotentialError):
         integrate_monodromy(0.5 + 1e-5j, 0.3)
-    with pytest.raises(ConvergenceError):
-        integrate_monodromy(2.0, 0.3, tol=1e-16, max_steps=256)
+    monkeypatch.setattr(monodromy_mod, "_MAX_STEPS", 256)
+    with pytest.raises(ConvergenceError, match="within 256 steps"):
+        integrate_monodromy(2.0, 0.3, tol=1e-16)
 
 
 def test_complex_mu_accepted():
