@@ -90,19 +90,15 @@ def _write(args, lines):
 
 
 def _s_of_flag_c(c: complex):
-    """s(c) for a --c flag, or None after one error line: c on the cut
-    is a usage error."""
+    """s(c) for a --c flag; c on the cut raises ValueError, a usage error."""
     try:
         return s_of_c(c)
     except (BranchCutError, SingularPotentialError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(str(exc)) from exc
 
 
 def cmd_discriminant(args) -> int:
     sp = _s_of_flag_c(args.c)
-    if sp is None:
-        return 2
     rows = ["mu,re_delta,im_delta"]
     for mu in np.linspace(args.mu_min, args.mu_max, args.points):
         val = discriminant(sp, float(mu), args.search.disc)
@@ -155,8 +151,6 @@ def cmd_contour_c(args) -> int:
 
 def cmd_contour_mu(args) -> int:
     sp = _s_of_flag_c(args.c)
-    if sp is None:
-        return 2
     res, ims = _grid_axes(args)
     vals = np.array([[discriminant(sp, complex(a, b), args.search.disc) for a in res]
                      for b in ims])

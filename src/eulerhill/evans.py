@@ -75,34 +75,31 @@ TWO_PI = 2.0 * math.pi
 
 
 # Fixed search settings: the half-length X of the rectangle around the
-# cut whose exterior the count covers, which also ends the top edge's
-# coarse zone, the axis snap tolerance, the Newton steps per root and
-# the |E| that ends them, and the samples a walk may take.
+# cut whose exterior the count covers, the axis snap tolerance, the
+# Newton steps per root and the |E| that ends them, and the samples a
+# walk may take.
 _X = 1.1
 _SNAP_TOL = 2e-8
 _NEWTON_STEPS = 80
 _ROOT_TOL = 1e-10
 _MAX_PTS = 20000
 
-# Top-edge sampling (_edge_points):
-# - _COARSE_STEP, the step over x <= X, where no root nears the edge
-#   but next to the axis and the cut end; 0.064 and 0.128 kept the
-#   counts of (7,8), (10,11), (13,14), (20,21) and 420 draws, so 0.032
-#   leaves margin for E's own variation;
+# Top-edge sampling (_edge_points), at a twelfth of the edge but in
+# three kinds of fine zone:
 # - _CUT_ZONE, the half-width of the fine zone at the cut end; without
 #   it the moment seeds of the classes of (4,5), (5,4), (2,5), (3,5),
-#   (7,8) and (10,11) lie a median 6.2e-3 from their roots, not 4.5e-3;
+#   (7,8) and (10,11) lie a median 3.0e-2 from the nearest root, not
+#   1.2e-2;
 # - _AXIS_ZONE, the width of the fine zone next to the axis, where
-#   root pairs are born at c = 0; without it the roots +-0.0064+0.0064i
-#   of (0.49977385339860314, 0.8586155048669204), 0.0054 above the edge,
-#   are not counted;
+#   root pairs are born at c = 0; without it the one moment seed of
+#   (0.4843535685261879, 0.8581726231610757) lies at 0.0031i, not next
+#   to its root 0.0155i, and Newton from it stalls near c = 0;
 # - _WINDOW_STEP and _WINDOW_WIDTH, the step and half-width of the window
 #   around the cut-end root that _cut_end_root predicts, in units of the
 #   root's height above the edge: the root's phase swing of pi is taken
 #   in increments of at most 2 atan(1/8), and atan(1/2) of it lies
 #   beyond either end.  Without the window 48, not 44, of 120 draws with
 #   d in (1e-4, 0.32) miscount.
-_COARSE_STEP = 0.032
 _CUT_ZONE = 0.02
 _AXIS_ZONE = 0.1
 _WINDOW_STEP = 0.25
@@ -165,16 +162,16 @@ def _edge_points(level: float, end: float, root: complex | None = None):
     zone with a finer step covers; a zone's grid is the odd multiples of
     half its step from one step before the zone to one after.  With
     h = max(2 level, 0.004) the zones (from, to, step) are the base zone
-    (-end, end, end/12), (-_X, _X, max(h, _COARSE_STEP)), |x| <= _AXIS_ZONE
-    and |x - 1| <= _CUT_ZONE at step h, and the window of _WINDOW_WIDTH
-    heights of root above the edge either side of Re root at _WINDOW_STEP
-    heights (root is the class's predicted cut-end root, or None).  So no
-    step exceeds end/12, and with no window the samples next to the cut
-    end sit at x = 1 -+ h/2, not on x = 1.
+    (-end, end, end/12), |x| <= _AXIS_ZONE and |x - 1| <= _CUT_ZONE at
+    step h, and the window of _WINDOW_WIDTH heights of root above the
+    edge either side of Re root at _WINDOW_STEP heights (root is the
+    class's predicted cut-end root, or None).  So no step exceeds
+    end/12, and with no window the samples next to the cut end sit at
+    x = 1 -+ h/2, not on x = 1.
     """
     h = max(2.0 * level, 0.004)
-    zones = [(-end, end, end / 12.0), (-_X, _X, max(h, _COARSE_STEP)),
-             (-_AXIS_ZONE, _AXIS_ZONE, h), (1.0 - _CUT_ZONE, 1.0 + _CUT_ZONE, h)]
+    zones = [(-end, end, end / 12.0), (-_AXIS_ZONE, _AXIS_ZONE, h),
+             (1.0 - _CUT_ZONE, 1.0 + _CUT_ZONE, h)]
     if root is not None and root.imag != level:
         height = abs(root.imag - level)
         zones.append((root.real - _WINDOW_WIDTH * height, root.real + _WINDOW_WIDTH * height,
@@ -379,6 +376,11 @@ def _moment_seeds(ts, vals, w):
     return [complex(r) for r in np.roots([(-1) ** k * ek for k, ek in enumerate(e)])]
 
 
+def _images(roots):
+    """The roots with their images under c -> -c and c -> conj(c)."""
+    return {w for z in roots for w in (z, -z, z.conjugate(), -z.conjugate())}
+
+
 def _tally(roots):
     """Eigenvalues that the folded roots account for: each root on the
     imaginary axis stands for 2, each other one for 4."""
@@ -420,9 +422,8 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
     for seed in seeds:
         if _tally(found) >= total:
             break
-        images = tuple({w for u in found for w in (u, -u, u.conjugate(), -u.conjugate())})
 
-        def deflated(cs, done=images):
+        def deflated(cs, done=_images(found)):
             return fs(cs) / np.array([np.prod([c - r for r in done]) for c in cs])
 
         z, res = _newton(deflated, seed)
@@ -441,13 +442,7 @@ def find_roots(theta: float, d: float, cfg: RootSearchConfig | None = None,
             f"{found}, which account for {_tally(found)} eigenvalues, not the {total} counted"
         )
 
-    closure: dict = {}
-    for z in found:
-        for w_ in {z, -z, z.conjugate(), -z.conjugate()}:
-            closure[(round(w_.real, 12), round(w_.imag, 12))] = (w_, 1)
-    roots = tuple(
-        sorted(closure.values(), key=lambda zm: (-zm[0].imag, zm[0].real))
-    )
+    roots = tuple((w, 1) for w in sorted(_images(found), key=lambda w: (-w.imag, w.real)))
     return EvansRootSet(
         theta=theta,
         d=d,

@@ -34,7 +34,7 @@ _block_det() for their entries.  The rank-2 update enters each block
 as an elementwise outer product.
 
 Evaluation is batched.  discriminant_batch() groups the points by their
-half-width N (widened near the cut ends) and runs one kernel per chunk
+half-width N (see DiscriminantConfig) and runs one kernel per chunk
 of at most _CHUNK points.  Per-point sequences carry the points on
 their last axis: the power tables of s (up to s^2N) and s^2 (running
 products, one cumprod call each, in place of complex array powers),
@@ -104,7 +104,13 @@ _TAIL_WEIGHTS = np.array(
 
 @dataclass(frozen=True)
 class DiscriminantConfig:
-    """Truncation parameters for determinant-based evaluations."""
+    """Truncation parameters for determinant-based evaluations.
+
+    half_width is a floor: discriminant_batch() uses N = max(half_width,
+    ceil(sqrt(2.5 |Lambda|)) + 8), 9 or more wherever Lambda != 0, so
+    half_widths 1 to 9 give the same Delta; hill_determinant() alone
+    truncates at half_width itself.
+    """
 
     half_width: int = 16
 
@@ -374,10 +380,11 @@ def discriminant(sp: SpectralParam, mu: complex, cfg: DiscriminantConfig | None 
     """Hill discriminant Delta(mu; c), entire in mu and pole-free.
 
     Accepts complex mu; for real c with |c| > 1 or purely imaginary c the
-    result is real for real mu.  Near the cut endpoints c = +-1 the
-    Fourier coefficients blow up (|kappa| ~ |1 - s^2|^-1) and with them
-    |Lambda|; the half-width is widened there so the resonant modes stay
-    inside the retained block.
+    result is real for real mu.  The half-width, at least 9 wherever
+    Lambda != 0 (DiscriminantConfig), widens with |Lambda| so the
+    resonant modes stay inside the retained block, as near the cut
+    endpoints c = +-1, where the Fourier coefficients blow up
+    (|kappa| ~ |1 - s^2|^-1) and with them |Lambda|.
     """
     return discriminant_batch((sp,), mu, cfg)[0]
 

@@ -168,6 +168,14 @@ def test_truncation_stability():
         assert d16 <= 1e-6, (c, mu, d16)
 
 
+def test_half_width_is_a_floor_of_nine():
+    # N = max(half_width, ceil(sqrt(2.5 |Lambda|)) + 8) is 9 at this point,
+    # so half-widths 1 and 9 evaluate the same truncation
+    sp = s_of_c(0.3 + 0.4j)
+    one, nine, ten = (discriminant(sp, 0.36, DiscriminantConfig(half_width=h)) for h in (1, 9, 10))
+    assert one == nine != ten
+
+
 def test_slope_closed_form_values():
     assert abs(discriminant_slope_at_zero(2.0) - 12.0 * math.pi**2 / math.sqrt(3.0)) < 1e-12
     assert abs(discriminant_slope_at_zero(1j / math.sqrt(2.0))) < 1e-12
